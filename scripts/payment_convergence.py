@@ -9,9 +9,10 @@ observed decay exponent.
 
 import numpy as np
 
-from lsvcg.generate import payment_gap_benchmark, replicate_assignments, scale_capacity
+from lsvcg.generate import payment_gap_benchmark, scale_capacity
 from lsvcg.incentives import loglog_slope
 from lsvcg.mechanisms import shadow_payment_gap
+from lsvcg.model import Population, Profile
 
 
 def main() -> None:
@@ -21,8 +22,8 @@ def main() -> None:
     print(f"{'I':>6} {'max |exact - shadow|':>22}")
     for num_agents in sizes:
         scenario = scale_capacity(base, num_agents)
-        assignments = replicate_assignments(base.population.shares, num_agents, base.type_space)
-        gap = float(np.max(shadow_payment_gap(assignments, scenario)))
+        profile = Profile.truthful(Population(base.population.shares, num_agents), base.type_space)
+        gap = float(np.max(shadow_payment_gap(profile, scenario)))
         gaps.append(gap)
         print(f"{num_agents:>6} {gap:>22.6e}")
     print(f"fitted log-log exponent: {loglog_slope(sizes, gaps):.3f}")

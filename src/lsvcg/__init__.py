@@ -12,6 +12,8 @@ from .model import (
     INFINITE,
     InfluenceParams,
     Population,
+    Profile,
+    Report,
     Scenario,
     TypeSpace,
     UtilityParams,
@@ -41,13 +43,12 @@ from .solver import (
 )
 from .mechanisms import (
     Outcome,
-    Report,
     budget_audit,
     ir_audit,
     large_scale_vcg,
+    outcome_cell_rows,
     outcome_rows,
     shadow_payment_gap,
-    truthful_reports,
     vcg_exact,
 )
 from .incentives import (
@@ -59,11 +60,8 @@ from .incentives import (
     verify_incentive_bound,
 )
 from .superimpose import (
-    Action,
     AlgorithmConfig,
     AlgorithmTrace,
-    DecisionRule,
-    default_decision_rule,
     obedience_check,
     obedient_actions,
     run_algorithm,

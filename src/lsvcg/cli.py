@@ -26,11 +26,10 @@ import numpy as np
 from . import __version__
 from .dynamic import dynamic_incentive_gap, dynamic_mechanism_step, load_dynamic_scenario, plan_policy, MeanFieldState
 from .incentives import gain_within_bound, incentive_gap, sweep_from_reports
-from .mechanisms import budget_audit, large_scale_vcg, outcome_rows, truthful_reports, vcg_exact
-from .model import ValidationError, load_scenario
+from .mechanisms import Outcome, budget_audit, large_scale_vcg, outcome_cell_rows, vcg_exact
+from .model import Profile, ValidationError, load_scenario
 from .solver import SolverError, DEFAULT_CONFIG, price_sensitivity, sensitivity_norm_bound_check, solve_population
 from .superimpose import obedient_actions, run_algorithm, superimposed_outcome
-from .generate import replicate_assignments
 
 __all__ = ["RunManifest", "main"]
 
@@ -53,6 +52,20 @@ def _format(value) -> str:
 
 
 def _write_table(path: Path, rows: list[dict], manifest: RunManifest) -> None:
+    header = list(rows[0].keys()) if rows else []
+    _write_lines(path, header, [",".join(_format(row[k]) for k in header) for row in rows], manifest)
+
+
+def _write_outcome(path: Path, outcome: Outcome, manifest: RunManifest) -> None:
+    """One row per agent; each cell's columns are formatted once and shared by its agents."""
+    cell_rows = outcome_cell_rows(outcome)
+    cell_text = [",".join(_format(value) for value in row.values()) for row in cell_rows]
+    header = ["id", *cell_rows[0]] if cell_rows else []
+    body = [f"{i},{cell_text[c]}" for i, c in enumerate(outcome.profile.cells.of_agent.tolist())]
+    _write_lines(path, header, body, manifest)
+
+
+def _write_lines(path: Path, header: list[str], body: list[str], manifest: RunManifest) -> None:
     lines = [
         f"# subcommand: {manifest.subcommand}",
         f"# scenario: {manifest.scenario_path}",
@@ -61,11 +74,9 @@ def _write_table(path: Path, rows: list[dict], manifest: RunManifest) -> None:
     ]
     for key in sorted(manifest.overrides):
         lines.append(f"# override {key}: {_format(manifest.overrides[key])}")
-    if rows:
-        header = list(rows[0].keys())
+    if header:
         lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_format(row[k]) for k in header))
+        lines.extend(body)
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -78,7 +89,6 @@ def _write_meta(out: Path, manifest: RunManifest, extra: dict | None = None) -> 
         "overrides": {k: manifest.overrides[k] for k in sorted(manifest.overrides)},
         "solver": {
             "price_tolerance": DEFAULT_CONFIG.price_tolerance,
-            "stationarity_tolerance": DEFAULT_CONFIG.stationarity_tolerance,
             "max_bisection_iters": DEFAULT_CONFIG.max_bisection_iters,
         },
     }
@@ -94,10 +104,10 @@ def _load_static(args):
     return scenario
 
 
-def _finite_assignments(scenario):
+def _finite_profile(scenario) -> Profile:
     if not scenario.population.is_finite:
         raise ValidationError("this subcommand needs a finite population (num_agents is 'infinite')")
-    return replicate_assignments(scenario.population.shares, scenario.population.num_agents, scenario.type_space)
+    return Profile.truthful(scenario.population, scenario.type_space)
 
 
 def _solve_for_population(scenario):
@@ -135,30 +145,28 @@ def cmd_solve(args, manifest: RunManifest, out: Path) -> None:
 
 def cmd_vcg(args, manifest: RunManifest, out: Path) -> None:
     scenario = _load_static(args)
-    assignments = _finite_assignments(scenario)
-    outcome = vcg_exact(truthful_reports(assignments), assignments, scenario)
-    _write_table(out / "outcome.csv", outcome_rows(outcome), manifest)
-    _write_meta(out, manifest, {"num_agents": len(assignments)})
+    profile = _finite_profile(scenario)
+    outcome = vcg_exact(profile, scenario)
+    _write_outcome(out / "outcome.csv", outcome, manifest)
+    _write_meta(out, manifest, {"num_agents": profile.num_agents})
 
 
 def cmd_lsvcg(args, manifest: RunManifest, out: Path) -> None:
     scenario = _load_static(args)
     if scenario.population.is_finite:
-        assignments = _finite_assignments(scenario)
-        outcome = large_scale_vcg(truthful_reports(assignments), assignments, scenario)
+        outcome = large_scale_vcg(_finite_profile(scenario), scenario)
         total, predicted = budget_audit(outcome, scenario)
         budget = [{"total_payments": total, "predicted": predicted, "beta": outcome.beta}]
     else:
-        ts = scenario.type_space
-        probes = [ts.unflatten(r) for r in range(ts.num_types)]
+        probes = np.arange(scenario.type_space.num_types)  # one truthful probe per type
         outcome = large_scale_vcg(
-            truthful_reports(probes), probes, scenario, report_distribution=scenario.population
+            Profile(scenario.type_space, probes, probes), scenario, report_distribution=scenario.population
         )
         per_capita = float(scenario.population.shares @ outcome.payments)
         budget = [{"total_payments": per_capita, "predicted": float(
             outcome.prices @ ((1.0 - outcome.beta) * scenario.capacities)
         ), "beta": outcome.beta}]
-    _write_table(out / "outcome.csv", outcome_rows(outcome), manifest)
+    _write_outcome(out / "outcome.csv", outcome, manifest)
     _write_table(out / "budget.csv", budget, manifest)
     _write_meta(out, manifest, {"beta": outcome.beta})
 
@@ -228,8 +236,7 @@ def cmd_sensitivity(args, manifest: RunManifest, out: Path) -> None:
 
 def cmd_superimpose(args, manifest: RunManifest, out: Path) -> None:
     scenario = _load_static(args)
-    assignments = _finite_assignments(scenario)
-    trace = run_algorithm(obedient_actions(assignments), assignments, scenario)
+    trace = run_algorithm(obedient_actions(_finite_profile(scenario)), scenario)
     rows = []
     for k in range(trace.rounds_used):
         row = {"round": k + 1}
@@ -239,10 +246,13 @@ def cmd_superimpose(args, manifest: RunManifest, out: Path) -> None:
             row[f"demand_{n}"] = float(trace.round_demand[k, n])
         rows.append(row)
     _write_table(out / "trace.csv", rows, manifest)
-    if trace.converged:
-        outcome = superimposed_outcome(trace, assignments, scenario)
-        _write_table(out / "outcome.csv", outcome_rows(outcome), manifest)
     _write_meta(out, manifest, {"converged": bool(trace.converged), "rounds": trace.rounds_used})
+    if not trace.converged:
+        raise SolverError(
+            f"the distributed algorithm did not converge in {trace.rounds_used} rounds: "
+            f"worst per-capita excess {float(np.max(np.abs(trace.final_excess))):.3e}"
+        )
+    _write_outcome(out / "outcome.csv", superimposed_outcome(trace, scenario), manifest)
 
 
 def cmd_dynamic(args, manifest: RunManifest, out: Path) -> None:
@@ -289,14 +299,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="path to a scenario document")
         p.add_argument("--seed", type=int, default=0, help="root seed recorded in every output")
         p.add_argument("--out", required=True, help="output directory (created if missing)")
+        if name == "dynamic":
+            p.add_argument("--mode", choices=["myopic", "oracle"], default="myopic")
+            continue
         p.add_argument("--beta", type=float, default=None, help="override the scenario's rebate share")
-        p.add_argument(
-            "--i-list",
-            default="10,20,40,80,160,320,640,1280",
-            help="comma-separated head counts for sweep subcommands",
-        )
-        p.add_argument("--mode", choices=["myopic", "oracle"], default="myopic")
-        p.add_argument("--workers", type=int, default=None, help="worker pool size for sweeps")
+        if name == "incentive-sweep":
+            p.add_argument(
+                "--i-list",
+                default="10,20,40,80,160,320,640,1280",
+                help="comma-separated head counts of the sweep",
+            )
+            p.add_argument("--workers", type=int, default=None, help="worker pool size for the sweep")
     return parser
 
 
@@ -309,7 +322,7 @@ def main(argv=None) -> int:
         scenario_path=args.scenario,
         seed=args.seed,
         output_dir=str(out),
-        overrides={} if args.beta is None else {"beta": args.beta},
+        overrides={} if getattr(args, "beta", None) is None else {"beta": args.beta},
     )
     started = time.perf_counter()
     try:

@@ -11,6 +11,11 @@ the planner allocates from the solved menu):
   ``beta * C_n / I``.  Payments need only the market prices and observed
   loads, never a re-solve.
 
+Populations arrive as a :class:`~lsvcg.model.Profile`.  Agents of one
+(true type, report) cell receive the same allocation, payment and payoff, so
+every rule computes once per occupied cell (at most ``R**2`` cells for ``R``
+types) and per-agent arrays are scattered from the cell arrays on first use.
+
 Capacity conventions.  With an explicit agent list, ``scenario.capacities``
 are totals shared by those agents (matching :func:`~lsvcg.solver.solve_agent_list`),
 so the two mechanisms are directly comparable on one scenario.  With a report
@@ -21,14 +26,13 @@ is ``beta * C_n``, and prices are independent of any single agent's report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
-from .model import Population, Scenario, ValidationError, empirical_population, utility_value
+from .model import Population, Profile, Report, Scenario, ValidationError, utility_value
 from .solver import (
     DEFAULT_CONFIG,
-    PrimalDualSolution,
     SolverConfig,
     solve_weighted,
 )
@@ -42,7 +46,7 @@ __all__ = [
     "budget_audit",
     "ir_audit",
     "shadow_payment_gap",
-    "truthful_reports",
+    "outcome_cell_rows",
     "outcome_rows",
 ]
 
@@ -51,79 +55,82 @@ __all__ = [
 EXACT_VCG_MAX_AGENTS = 200
 
 
-@dataclass(frozen=True)
-class Report:
-    """A (possibly untruthful) type announcement."""
-
-    theta_report: int
-    zeta_report: int
-
-    def flat(self, scenario: Scenario) -> int:
-        return scenario.type_space.flat_index(self.theta_report, self.zeta_report)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Outcome:
-    """Per-agent results of one mechanism run.
+    """Results of one mechanism run, held per occupied cell of ``profile``.
 
-    ``payoffs`` are always computed against *true* utility types:
+    Row ``c`` of the ``cell_*`` arrays belongs to ``profile.cells`` entry
+    ``c``.  ``allocations``, ``payments`` and ``payoffs`` are the per-agent
+    views.  Payoffs are always computed against *true* utility types:
     ``payoffs[i] == utility(true theta_i, allocations[i]) - payments[i]``.
     """
 
-    allocations: np.ndarray  # (I, N)
-    payments: np.ndarray  # (I,)
+    profile: Profile
+    cell_allocations: np.ndarray  # (C, N)
+    cell_payments: np.ndarray  # (C,)
+    cell_payoffs: np.ndarray  # (C,)
     prices: np.ndarray  # (N,)
-    payoffs: np.ndarray  # (I,)
-    reports: tuple[Report, ...]
-    true_types: tuple[tuple[int, int], ...]
     beta: float
     constraint_slack: np.ndarray  # slack of the solved program
     mean_field: bool = False
 
     def __post_init__(self):
-        for name in ("allocations", "payments", "prices", "payoffs", "constraint_slack"):
+        for name in ("cell_allocations", "cell_payments", "cell_payoffs", "prices", "constraint_slack"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def _per_agent(self, cell_values: np.ndarray) -> np.ndarray:
+        values = cell_values[self.profile.cells.of_agent]
+        values.setflags(write=False)
+        return values
 
-def truthful_reports(true_types: Sequence[tuple[int, int]]) -> list[Report]:
-    return [Report(theta, zeta) for theta, zeta in true_types]
+    @cached_property
+    def allocations(self) -> np.ndarray:  # (I, N)
+        return self._per_agent(self.cell_allocations)
 
+    @cached_property
+    def payments(self) -> np.ndarray:  # (I,)
+        return self._per_agent(self.cell_payments)
 
-def _check_alignment(reports, true_types, scenario):
-    if len(reports) != len(true_types):
-        raise ValidationError("reports and true_types must have equal length")
-    for r in reports:
-        scenario.type_space.flat_index(r.theta_report, r.zeta_report)
-    for theta, zeta in true_types:
-        scenario.type_space.flat_index(theta, zeta)
-
-
-def _true_influence(scenario: Scenario, true_types, allocations) -> np.ndarray:
-    """Monitored load of each agent at its allocation, using true zeta."""
-    out = np.empty_like(allocations)
-    for i, (_, zeta) in enumerate(true_types):
-        a = scenario.influence.linear[zeta]
-        b = scenario.influence.quadratic[zeta]
-        out[i] = a * allocations[i] + b * allocations[i] ** 2
-    return out
+    @cached_property
+    def payoffs(self) -> np.ndarray:  # (I,)
+        return self._per_agent(self.cell_payoffs)
 
 
-def _report_counts(reports: Sequence[Report], scenario: Scenario) -> np.ndarray:
-    counts = np.zeros(scenario.type_space.num_types, dtype=float)
-    for r in reports:
-        counts[r.flat(scenario)] += 1.0
-    return counts
+def _check_profile(profile: Profile, scenario: Scenario) -> None:
+    if profile.type_space != scenario.type_space:
+        raise ValidationError("the profile and the scenario have different type spaces")
+
+
+def _cell_loads(scenario: Scenario, cell_true: np.ndarray, cell_allocations: np.ndarray) -> np.ndarray:
+    """Monitored load of each cell: its true zeta's influence at its allocation."""
+    zeta = cell_true % scenario.type_space.num_zeta
+    a = scenario.influence.linear[zeta]
+    b = scenario.influence.quadratic[zeta]
+    return a * cell_allocations + b * cell_allocations**2
+
+
+def _cell_payoffs(
+    scenario: Scenario, cell_true: np.ndarray, cell_allocations: np.ndarray, cell_payments: np.ndarray
+) -> np.ndarray:
+    """True-type utility of each cell's allocation minus its payment."""
+    theta = cell_true // scenario.type_space.num_zeta
+    return np.array(
+        [
+            utility_value(scenario.utility, t, x) - h
+            for t, x, h in zip(theta.tolist(), cell_allocations, cell_payments)
+        ],
+        dtype=float,
+    )
 
 
 def vcg_exact(
-    reports: Sequence[Report],
-    true_types: Sequence[tuple[int, int]],
+    profile: Profile,
     scenario: Scenario,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> Outcome:
-    """Exact VCG outcome for an explicit agent list (small-scale oracle).
+    """Exact VCG outcome for an explicit agent profile (small-scale oracle).
 
     The allocation maximizes reported welfare subject to the reported-type
     loads fitting the total capacities.  Agent ``i`` pays the others'
@@ -131,8 +138,8 @@ def vcg_exact(
     optimum.  Identical reports share identical subproblems, so the
     nominally ``I + 1`` solves reduce to one per distinct report plus one.
     """
-    _check_alignment(reports, true_types, scenario)
-    num_agents = len(reports)
+    _check_profile(profile, scenario)
+    num_agents = profile.num_agents
     if num_agents == 0:
         raise ValidationError("at least one agent is required")
     if num_agents > EXACT_VCG_MAX_AGENTS:
@@ -141,48 +148,39 @@ def vcg_exact(
             "use large_scale_vcg for bigger populations"
         )
 
-    counts = _report_counts(reports, scenario)
+    counts = profile.report_counts()
     full = solve_weighted(scenario, counts, scenario.capacities, config)
     w = scenario.type_weights()
     per_type_utility = np.sum(w * np.log1p(full.z), axis=1)
     reported_welfare = float(counts @ per_type_utility)
 
-    payments_by_type: dict[int, float] = {}
+    payment_of_report = np.zeros(scenario.type_space.num_types)
     for r_idx in np.flatnonzero(counts > 0):
         others = counts.copy()
         others[r_idx] -= 1.0
         if others.sum() <= 0:
-            payments_by_type[int(r_idx)] = 0.0
             continue
         rest = solve_weighted(scenario, others, scenario.capacities, config)
         rest_welfare = float(others @ np.sum(w * np.log1p(rest.z), axis=1))
         others_at_joint = reported_welfare - per_type_utility[r_idx]
-        payments_by_type[int(r_idx)] = rest_welfare - others_at_joint
+        payment_of_report[r_idx] = rest_welfare - others_at_joint
 
-    allocations = np.empty((num_agents, scenario.type_space.num_resources))
-    payments = np.empty(num_agents)
-    payoffs = np.empty(num_agents)
-    for i, (rep, tt) in enumerate(zip(reports, true_types)):
-        r_idx = rep.flat(scenario)
-        allocations[i] = full.z[r_idx]
-        payments[i] = payments_by_type[r_idx]
-        payoffs[i] = utility_value(scenario.utility, tt[0], allocations[i]) - payments[i]
-
+    cells = profile.cells
+    allocations = full.z[cells.report_idx]
+    payments = payment_of_report[cells.report_idx]
     return Outcome(
-        allocations=allocations,
-        payments=payments,
+        profile=profile,
+        cell_allocations=allocations,
+        cell_payments=payments,
+        cell_payoffs=_cell_payoffs(scenario, cells.true_idx, allocations, payments),
         prices=full.p,
-        payoffs=payoffs,
-        reports=tuple(reports),
-        true_types=tuple(tuple(t) for t in true_types),
         beta=scenario.beta,
         constraint_slack=full.constraint_slack,
     )
 
 
 def large_scale_vcg(
-    reports: Sequence[Report],
-    true_types: Sequence[tuple[int, int]],
+    profile: Profile,
     scenario: Scenario,
     config: SolverConfig = DEFAULT_CONFIG,
     report_distribution: Population | np.ndarray | None = None,
@@ -190,28 +188,26 @@ def large_scale_vcg(
 ) -> Outcome:
     """Shadow-price mechanism outcome.
 
-    Finite mode (``report_distribution is None``): the listed agents are the
-    whole population; the reported-type program is solved at the scenario's
-    total capacities and each agent pays
+    Finite mode (``report_distribution is None``): the profile's agents are
+    the whole population; the reported-type program is solved at the
+    scenario's total capacities and each agent pays
     ``sum_n p_n * (f_true(z_report) - beta * C_n / I)``.
 
     Mean-field mode: ``report_distribution`` fixes the reported population
     (and hence prices), capacities are per capita, the rebate is
-    ``beta * C_n``, and the listed agents are measure-zero probes whose
+    ``beta * C_n``, and the profile's agents are measure-zero probes whose
     reports cannot move prices.
     """
-    _check_alignment(reports, true_types, scenario)
+    _check_profile(profile, scenario)
     beta = scenario.beta if beta is None else float(beta)
     if not (0.0 <= beta <= 1.0):
         raise ValidationError(f"beta must lie in [0, 1], got {beta!r}")
 
     if report_distribution is None:
-        num_agents = len(reports)
-        if num_agents == 0:
+        if profile.num_agents == 0:
             raise ValidationError("at least one agent is required")
-        counts = _report_counts(reports, scenario)
-        solution = solve_weighted(scenario, counts, scenario.capacities, config)
-        rebate = beta * scenario.capacities / num_agents
+        solution = solve_weighted(scenario, profile.report_counts(), scenario.capacities, config)
+        rebate = beta * scenario.capacities / profile.num_agents
         mean_field = False
     else:
         shares = (
@@ -223,23 +219,17 @@ def large_scale_vcg(
         rebate = beta * scenario.capacities
         mean_field = True
 
-    report_idx = [r.flat(scenario) for r in reports]
-    allocations = solution.z[report_idx] if report_idx else np.zeros((0, scenario.type_space.num_resources))
-    loads = _true_influence(scenario, true_types, allocations)
-    payments = (loads - rebate[None, :]) @ solution.p
-    payoffs = np.array(
-        [
-            utility_value(scenario.utility, tt[0], allocations[i]) - payments[i]
-            for i, tt in enumerate(true_types)
-        ]
-    )
+    cells = profile.cells
+    allocations = solution.z[cells.report_idx]
+    # Matrix form, as the per-agent rule had it: a dot product per row can
+    # round differently in the last bit.
+    payments = (_cell_loads(scenario, cells.true_idx, allocations) - rebate[None, :]) @ solution.p
     return Outcome(
-        allocations=allocations,
-        payments=payments,
+        profile=profile,
+        cell_allocations=allocations,
+        cell_payments=payments,
+        cell_payoffs=_cell_payoffs(scenario, cells.true_idx, allocations, payments),
         prices=solution.p,
-        payoffs=payoffs,
-        reports=tuple(reports),
-        true_types=tuple(tuple(t) for t in true_types),
         beta=beta,
         constraint_slack=solution.constraint_slack,
         mean_field=mean_field,
@@ -251,7 +241,8 @@ def budget_audit(outcome: Outcome, scenario: Scenario) -> tuple[float, float]:
 
     With every capacity binding the prediction is
     ``sum_n p_n * (1 - beta) * C_n``; with slack it falls back to the
-    observed-load form ``sum_n p_n * (sum_i f_i - beta * C_n)``.
+    observed-load form ``sum_n p_n * (sum_i f_i - beta * C_n)``.  Both sums
+    run over agents, not cells, so they round as a per-agent sum does.
     """
     if outcome.mean_field:
         raise ValidationError("budget audit applies to finite outcomes; mean-field rows are measure-zero probes")
@@ -261,48 +252,57 @@ def budget_audit(outcome: Outcome, scenario: Scenario) -> tuple[float, float]:
     if binding:
         predicted = float(outcome.prices @ ((1.0 - outcome.beta) * caps))
     else:
-        loads = _true_influence(scenario, outcome.true_types, outcome.allocations)
+        cells = outcome.profile.cells
+        loads = _cell_loads(scenario, cells.true_idx, outcome.cell_allocations)[cells.of_agent]
         predicted = float(outcome.prices @ (loads.sum(axis=0) - outcome.beta * caps))
     return total, predicted
 
 
 def ir_audit(outcome: Outcome) -> float:
     """Smallest payoff across agents; participation is rational when >= -1e-9."""
-    return float(np.min(outcome.payoffs))
+    return float(np.min(outcome.cell_payoffs))
 
 
 def shadow_payment_gap(
-    assignments: Sequence[tuple[int, int]],
+    profile: Profile,
     scenario: Scenario,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
-    """Per-agent |exact-VCG payment - shadow-price payment| under truth-telling.
+    """Per-agent |exact-VCG payment - shadow-price payment| for a profile.
 
     The shadow payment is ``sum_n lambda_n f_true(x_n)`` at the head-count
-    optimum; the gap shrinks as the population grows and is the convergence
-    measurement behind the large-scale payment rule.
+    optimum; under truth-telling the gap shrinks as the population grows,
+    which is the convergence measurement behind the large-scale payment rule.
     """
-    reports = truthful_reports(assignments)
-    exact = vcg_exact(reports, assignments, scenario, config)
-    loads = _true_influence(scenario, tuple(assignments), exact.allocations)
-    shadow = loads @ exact.prices
-    return np.abs(exact.payments - shadow)
+    exact = vcg_exact(profile, scenario, config)
+    cells = profile.cells
+    shadow = _cell_loads(scenario, cells.true_idx, exact.cell_allocations) @ exact.prices
+    return np.abs(exact.cell_payments - shadow)[cells.of_agent]
+
+
+def outcome_cell_rows(outcome: Outcome) -> list[dict]:
+    """Export record of each occupied cell: every column except the agent id."""
+    ts = outcome.profile.type_space
+    cells = outcome.profile.cells
+    rows = []
+    for c, (true_r, report_r) in enumerate(zip(cells.true_idx.tolist(), cells.report_idx.tolist())):
+        true_theta, true_zeta = ts.unflatten(true_r)
+        report_theta, report_zeta = ts.unflatten(report_r)
+        row = {
+            "true_theta": true_theta,
+            "true_zeta": true_zeta,
+            "report_theta": report_theta,
+            "report_zeta": report_zeta,
+        }
+        for n, value in enumerate(outcome.cell_allocations[c]):
+            row[f"z_{n}"] = float(value)
+        row["payment"] = float(outcome.cell_payments[c])
+        row["payoff"] = float(outcome.cell_payoffs[c])
+        rows.append(row)
+    return rows
 
 
 def outcome_rows(outcome: Outcome) -> list[dict]:
     """Flat record per agent for table export."""
-    rows = []
-    for i, (rep, tt) in enumerate(zip(outcome.reports, outcome.true_types)):
-        row = {
-            "id": i,
-            "true_theta": tt[0],
-            "true_zeta": tt[1],
-            "report_theta": rep.theta_report,
-            "report_zeta": rep.zeta_report,
-        }
-        for n, value in enumerate(outcome.allocations[i]):
-            row[f"z_{n}"] = float(value)
-        row["payment"] = float(outcome.payments[i])
-        row["payoff"] = float(outcome.payoffs[i])
-        rows.append(row)
-    return rows
+    cell_rows = outcome_cell_rows(outcome)
+    return [{"id": i, **cell_rows[c]} for i, c in enumerate(outcome.profile.cells.of_agent.tolist())]

@@ -15,6 +15,9 @@ strictly increasing and strictly concave, the influence increasing and
 convex with f(0) = 0 and f' bounded below by the linear coefficient.
 
 Flattened type indices are row-major: ``r = theta * num_zeta + zeta``.
+A :class:`Profile` holds a population of agents as two arrays of flat
+indices (true type and announced type), so that the mechanisms work once per
+(true type, report) *cell* rather than once per agent.
 All model objects are immutable after construction.
 """
 
@@ -22,8 +25,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +37,9 @@ __all__ = [
     "UtilityParams",
     "InfluenceParams",
     "Population",
+    "Report",
+    "Cells",
+    "Profile",
     "Scenario",
     "INFINITE",
     "utility_value",
@@ -106,10 +113,6 @@ class UtilityParams:
             raise ValidationError("utility.weights must be finite and strictly positive")
         object.__setattr__(self, "weights", w)
 
-    def smoothness(self, theta: int) -> float:
-        """Curvature bound for row ``theta``: |d2U/dx2| <= max_n w[theta, n]."""
-        return float(np.max(self.weights[theta]))
-
 
 @dataclass(frozen=True)
 class InfluenceParams:
@@ -175,6 +178,109 @@ class Population:
         if not self.is_finite:
             raise ValidationError("an infinite population has no counts")
         return np.round(self.shares * self.num_agents).astype(int)
+
+
+@dataclass(frozen=True)
+class Report:
+    """A (possibly untruthful) type announcement."""
+
+    theta_report: int
+    zeta_report: int
+
+
+def _flat_types(pairs: Sequence, type_space: TypeSpace) -> np.ndarray:
+    """Flat indices of ``(theta, zeta)`` pairs, each checked against the type space."""
+    arr = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    theta, zeta = arr[:, 0], arr[:, 1]
+    bad = (theta < 0) | (theta >= type_space.num_theta) | (zeta < 0) | (zeta >= type_space.num_zeta)
+    if np.any(bad):
+        type_space.flat_index(*(int(v) for v in arr[np.argmax(bad)]))  # raises with the offending pair
+    return theta * type_space.num_zeta + zeta
+
+
+class Cells(NamedTuple):
+    """The occupied (true type, report) cells of a profile, in flat cell order."""
+
+    true_idx: np.ndarray  # (C,) true type of each cell
+    report_idx: np.ndarray  # (C,) announced type of each cell
+    counts: np.ndarray  # (C,) agents in each cell
+    of_agent: np.ndarray  # (I,) cell of each agent
+
+
+@dataclass(frozen=True, eq=False)
+class Profile:
+    """A population of agents held as per-agent flat type indices.
+
+    Agent ``i`` has true type ``true_idx[i]`` and announces (reports, or
+    impersonates in the distributed algorithm) type ``report_idx[i]``.
+    Agents sharing a (true type, report) cell are treated identically by
+    every mechanism, so results are computed once per occupied cell and
+    scattered to agents with ``cells.of_agent``.
+    """
+
+    type_space: TypeSpace
+    true_idx: np.ndarray  # (I,) int
+    report_idx: np.ndarray  # (I,) int
+
+    def __post_init__(self):
+        num_types = self.type_space.num_types
+        for name in ("true_idx", "report_idx"):
+            arr = np.asarray(getattr(self, name))
+            if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+                raise ValidationError(f"profile {name} must be a 1-D integer array")
+            if arr.size and (arr.min() < 0 or arr.max() >= num_types):
+                raise ValidationError(f"profile {name} holds a flat type index outside the type space")
+            object.__setattr__(self, name, _frozen_array(arr, dtype=np.intp))
+        if self.true_idx.size != self.report_idx.size:
+            raise ValidationError("profile true_idx and report_idx must have equal length")
+
+    @classmethod
+    def truthful(cls, population: Population, type_space: TypeSpace) -> Profile:
+        """Every agent of a finite population reporting its own type, grouped by
+        flat type in increasing order."""
+        idx = np.repeat(np.arange(type_space.num_types), population.counts())
+        return cls(type_space, idx, idx)
+
+    @classmethod
+    def from_agents(
+        cls,
+        true_types: Sequence[tuple[int, int]],
+        type_space: TypeSpace,
+        reports: Sequence[Report] | None = None,
+    ) -> Profile:
+        """Adapter for explicit agent lists; ``reports`` defaults to the truth."""
+        true_idx = _flat_types(true_types, type_space)
+        if reports is None:
+            return cls(type_space, true_idx, true_idx)
+        if len(reports) != len(true_types):
+            raise ValidationError("reports and true_types must have equal length")
+        report_idx = _flat_types([(r.theta_report, r.zeta_report) for r in reports], type_space)
+        return cls(type_space, true_idx, report_idx)
+
+    @property
+    def num_agents(self) -> int:
+        return int(self.true_idx.size)
+
+    def with_report(self, agent: int, report: Report) -> Profile:
+        """Copy in which ``agent`` announces ``report`` and everyone else is unchanged."""
+        reports = self.report_idx.copy()
+        reports[agent] = self.type_space.flat_index(report.theta_report, report.zeta_report)
+        return Profile(self.type_space, self.true_idx, reports)
+
+    @cached_property
+    def cells(self) -> Cells:
+        num_types = self.type_space.num_types
+        flat = self.true_idx * num_types + self.report_idx
+        counts = np.bincount(flat, minlength=num_types * num_types)
+        occupied = np.flatnonzero(counts)
+        position = np.zeros(counts.size, dtype=np.intp)
+        position[occupied] = np.arange(occupied.size)
+        return Cells(occupied // num_types, occupied % num_types, counts[occupied], position[flat])
+
+    def report_counts(self) -> np.ndarray:
+        """Head count per announced flat type, as floats."""
+        cells = self.cells
+        return np.bincount(cells.report_idx, weights=cells.counts, minlength=self.type_space.num_types)
 
 
 @dataclass(frozen=True)
@@ -283,9 +389,7 @@ def empirical_population(assignments: Sequence[tuple[int, int]], type_space: Typ
     """Population with shares equal to observed type frequencies."""
     if len(assignments) == 0:
         raise ValidationError("cannot build a population from an empty assignment list")
-    counts = np.zeros(type_space.num_types, dtype=int)
-    for theta, zeta in assignments:
-        counts[type_space.flat_index(theta, zeta)] += 1
+    counts = np.bincount(_flat_types(assignments, type_space), minlength=type_space.num_types)
     total = int(counts.sum())
     present = counts > 0
     if not np.all(present):

@@ -55,12 +55,11 @@ class DegeneratePointError(ValueError):
 @dataclass(frozen=True)
 class SolverConfig:
     price_tolerance: float = 1e-10
-    stationarity_tolerance: float = 1e-10
     max_bisection_iters: int = 200
 
     def __post_init__(self):
-        if self.price_tolerance <= 0 or self.stationarity_tolerance <= 0:
-            raise ValidationError("solver tolerances must be positive")
+        if self.price_tolerance <= 0:
+            raise ValidationError("price_tolerance must be positive")
         if self.max_bisection_iters < 1:
             raise ValidationError("max_bisection_iters must be positive")
 

@@ -12,59 +12,36 @@ Payments are superimposed afterwards: they read only the algorithm's outputs
 contains no mechanism code and any allocation algorithm with the same
 outputs yields bit-identical payments.  Deviations are modeled as
 type-impersonation: a deviating agent replies with some other type's demand
-in every round.
+in every round.  A :class:`~lsvcg.model.Profile` holds each agent's true
+type and the type it impersonates (its report), and agents sharing both
+behave identically, so the loop and the overlay work per group and per cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
-from .mechanisms import Outcome, Report
-from .model import Scenario, ValidationError, utility_value
+from .mechanisms import Outcome, _cell_loads, _cell_payoffs, _check_profile
+from .model import Population, Profile, Report, Scenario, ValidationError
 from .solver import _response_matrix  # shared closed-form best responses
 
 __all__ = [
-    "Action",
-    "DecisionRule",
     "AlgorithmConfig",
     "AlgorithmTrace",
     "obedient_actions",
-    "default_decision_rule",
     "run_algorithm",
     "superimposed_outcome",
     "obedience_check",
 ]
 
 
-@dataclass(frozen=True)
-class Action:
-    """Reply as this type in every round of the algorithm."""
-
-    impersonated_type: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class DecisionRule:
-    """Prescribed behavior per type; obedience means impersonating yourself."""
-
-    prescribed_action: dict[tuple[int, int], Action]
-
-
-def default_decision_rule(scenario: Scenario) -> DecisionRule:
-    ts = scenario.type_space
-    return DecisionRule(
-        prescribed_action={
-            ts.unflatten(r): Action(impersonated_type=ts.unflatten(r)) for r in range(ts.num_types)
-        }
-    )
-
-
-def obedient_actions(true_types: Sequence[tuple[int, int]]) -> list[Action]:
-    return [Action(impersonated_type=tuple(t)) for t in true_types]
+def obedient_actions(profile: Profile) -> Profile:
+    """The profile in which every agent obeys: it replies as its own type."""
+    return Profile(profile.type_space, profile.true_idx, profile.true_idx)
 
 
 @dataclass(frozen=True)
@@ -87,7 +64,7 @@ class AlgorithmConfig:
 DEFAULT_ALGORITHM_CONFIG = AlgorithmConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgorithmTrace:
     """Round-by-round prices and aggregate monitored demand, plus final outputs.
 
@@ -95,22 +72,30 @@ class AlgorithmTrace:
     ``round_demand[k]`` the per-capita aggregate load it elicited.  Per-agent
     replies are recoverable from the group structure (agents sharing a true
     zeta and an impersonated type behave identically), so they are not stored
-    per round.
+    per round.  ``final_menu`` is every type's reply at the final prices;
+    agent ``i`` receives row ``profile.report_idx[i]`` of it.
     """
 
     round_prices: np.ndarray  # (rounds, N)
     round_demand: np.ndarray  # (rounds, N), per capita
     final_prices: np.ndarray  # (N,)
-    final_allocations: np.ndarray  # (I, N)
+    final_menu: np.ndarray  # (R, N)
     final_excess: np.ndarray  # (N,), per capita
     converged: bool
     rounds_used: int
+    profile: Profile
 
     def __post_init__(self):
-        for name in ("round_prices", "round_demand", "final_prices", "final_allocations", "final_excess"):
+        for name in ("round_prices", "round_demand", "final_prices", "final_menu", "final_excess"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @cached_property
+    def final_allocations(self) -> np.ndarray:  # (I, N)
+        allocations = self.final_menu[self.profile.report_idx]
+        allocations.setflags(write=False)
+        return allocations
 
 
 def _default_gamma0(scenario: Scenario) -> float:
@@ -119,37 +104,33 @@ def _default_gamma0(scenario: Scenario) -> float:
 
 
 def run_algorithm(
-    actions: Sequence[Action],
-    true_types: Sequence[tuple[int, int]],
+    profile: Profile,
     scenario: Scenario,
     config: AlgorithmConfig = DEFAULT_ALGORITHM_CONFIG,
 ) -> AlgorithmTrace:
-    """Simulate the synchronous price-broadcast loop for an explicit agent list.
+    """Simulate the synchronous price-broadcast loop for a profile of agents.
 
-    ``scenario.capacities`` are totals shared by the listed agents.  Each
+    Each agent replies as its reported (impersonated) type.
+    ``scenario.capacities`` are totals shared by the profile's agents.  Each
     round the coordinator observes the true-zeta load of every reply
     (influence is monitored even when the reply impersonates another type)
     and moves each price by ``gamma_k * (aggregate load - capacity) / I``,
     projected at zero.  Stops when the per-capita excess is within tolerance
     on every resource, or at the round cap with ``converged=False``.
     """
-    if len(actions) != len(true_types):
-        raise ValidationError("actions and true_types must have equal length")
-    num_agents = len(actions)
+    _check_profile(profile, scenario)
+    num_agents = profile.num_agents
     if num_agents == 0:
         raise ValidationError("at least one agent is required")
     ts = scenario.type_space
 
     # Group agents by (true zeta, impersonated type): identical behavior.
-    group_counts: dict[tuple[int, int], int] = {}
-    for action, (theta, zeta) in zip(actions, true_types):
-        imp = ts.flat_index(*action.impersonated_type)
-        key = (zeta, imp)
-        group_counts[key] = group_counts.get(key, 0) + 1
-    keys = sorted(group_counts)
-    counts = np.array([group_counts[k] for k in keys], dtype=float)
-    zeta_rows = np.array([k[0] for k in keys])
-    imp_rows = np.array([k[1] for k in keys])
+    cells = profile.cells
+    group_key = (cells.true_idx % ts.num_zeta) * ts.num_types + cells.report_idx
+    group_counts = np.bincount(group_key, weights=cells.counts, minlength=ts.num_zeta * ts.num_types)
+    keys = np.flatnonzero(group_counts)
+    counts = group_counts[keys]
+    zeta_rows, imp_rows = np.divmod(keys, ts.num_types)
     a = scenario.influence.linear[zeta_rows]  # (G, N)
     b = scenario.influence.quadratic[zeta_rows]
 
@@ -179,58 +160,51 @@ def run_algorithm(
         p = np.maximum(0.0, p + (gamma0 / math.sqrt(k)) * excess)
 
     menu = _response_matrix(scenario, p)
-    final_allocations = np.empty((num_agents, ts.num_resources))
-    for i, action in enumerate(actions):
-        final_allocations[i] = menu[ts.flat_index(*action.impersonated_type)]
     return AlgorithmTrace(
         round_prices=np.array(prices_hist),
         round_demand=np.array(demand_hist),
         final_prices=p,
-        final_allocations=final_allocations,
+        final_menu=menu,
         final_excess=per_capita_demand(menu) - caps_per_capita,
         converged=converged,
         rounds_used=rounds_used,
+        profile=profile,
     )
 
 
 def superimposed_outcome(
     trace: AlgorithmTrace,
-    true_types: Sequence[tuple[int, int]],
     scenario: Scenario,
     beta: float | None = None,
 ) -> Outcome:
     """Charge shadow-price payments computed purely from the trace outputs.
 
     ``h_i = sum_n lambda_n * (f_true(x_i) - beta * C_n / I)`` with the
-    algorithm's own final prices and allocations; nothing is re-solved.
+    algorithm's own final prices and allocations for the trace's profile;
+    nothing is re-solved.
     """
     if not trace.converged:
         raise ValidationError("cannot superimpose payments on an unconverged trace")
-    num_agents = trace.final_allocations.shape[0]
-    if len(true_types) != num_agents:
-        raise ValidationError("true_types must match the trace's agent count")
     beta = scenario.beta if beta is None else float(beta)
     if not (0.0 <= beta <= 1.0):
         raise ValidationError(f"beta must lie in [0, 1], got {beta!r}")
 
+    profile = trace.profile
+    num_agents = profile.num_agents
     lam = trace.final_prices
     rebate = beta * scenario.capacities / num_agents
-    allocations = trace.final_allocations
-    payments = np.empty(num_agents)
-    payoffs = np.empty(num_agents)
-    for i, (theta, zeta) in enumerate(true_types):
-        a = scenario.influence.linear[zeta]
-        b = scenario.influence.quadratic[zeta]
-        load = a * allocations[i] + b * allocations[i] ** 2
-        payments[i] = float(lam @ (load - rebate))
-        payoffs[i] = utility_value(scenario.utility, theta, allocations[i]) - payments[i]
+    cells = profile.cells
+    allocations = trace.final_menu[cells.report_idx]
+    loads = _cell_loads(scenario, cells.true_idx, allocations)
+    # One dot product per cell, not the matrix form of large_scale_vcg: the
+    # two round differently in the last bit, and this is the overlay's own.
+    payments = np.array([float(lam @ (load - rebate)) for load in loads])
     return Outcome(
-        allocations=allocations,
-        payments=payments,
+        profile=profile,
+        cell_allocations=allocations,
+        cell_payments=payments,
+        cell_payoffs=_cell_payoffs(scenario, cells.true_idx, allocations, payments),
         prices=lam,
-        payoffs=payoffs,
-        reports=tuple(Report(theta, zeta) for theta, zeta in true_types),
-        true_types=tuple(tuple(t) for t in true_types),
         beta=beta,
         constraint_slack=-trace.final_excess * num_agents,
     )
@@ -250,29 +224,24 @@ def obedience_check(
     ``margin = obedient - best deviation``.
     """
     ts = scenario.type_space
-    counts = scenario.population.shares * num_agents
+    shares = scenario.population.shares
+    counts = shares * num_agents
     if np.any(np.abs(counts - np.round(counts)) > 1e-9):
         raise ValidationError("num_agents times every population share must be integral")
-    counts = np.round(counts).astype(int)
-    true_types: list[tuple[int, int]] = []
-    for r in range(ts.num_types):
-        true_types.extend([ts.unflatten(r)] * counts[r])
-    deviator = true_types.index(tuple(deviator_type))
+    profile = obedient_actions(Profile.truthful(Population(shares=shares, num_agents=num_agents), ts))
+    own = ts.flat_index(*deviator_type)
+    deviator = int(np.argmax(profile.true_idx == own))
 
-    def deviator_payoff(impersonated: tuple[int, int]) -> float:
-        acts = obedient_actions(true_types)
-        acts[deviator] = Action(impersonated_type=impersonated)
-        trace = run_algorithm(acts, true_types, scenario, config)
-        outcome = superimposed_outcome(trace, true_types, scenario)
-        return float(outcome.payoffs[deviator])
+    def deviator_payoff(impersonated: int) -> float:
+        deviation = profile.with_report(deviator, Report(*ts.unflatten(impersonated)))
+        trace = run_algorithm(deviation, scenario, config)
+        return float(superimposed_outcome(trace, scenario).payoffs[deviator])
 
-    obedient = deviator_payoff(tuple(deviator_type))
+    obedient = deviator_payoff(own)
     best_dev = -math.inf
     for r in range(ts.num_types):
-        candidate = ts.unflatten(r)
-        if candidate == tuple(deviator_type):
-            continue
-        best_dev = max(best_dev, deviator_payoff(candidate))
+        if r != own:
+            best_dev = max(best_dev, deviator_payoff(r))
     if best_dev == -math.inf:  # no alternative action exists
         return obedient, obedient, 0.0
     return obedient, best_dev, obedient - best_dev

@@ -29,8 +29,8 @@ from lsvcg.generate import (
 )
 from lsvcg.dynamic import MeanFieldState, dynamic_incentive_gap, mean_field_step, mean_field_step_monte_carlo, plan_policy
 from lsvcg.incentives import decays_quadratically, loglog_slope, verify_incentive_bound
-from lsvcg.mechanisms import budget_audit, ir_audit, large_scale_vcg, shadow_payment_gap, truthful_reports
-from lsvcg.model import Population
+from lsvcg.mechanisms import budget_audit, ir_audit, large_scale_vcg, shadow_payment_gap
+from lsvcg.model import Population, Profile
 from lsvcg.solver import sensitivity_norm_bound_check, solve_population, solve_weighted, price_sensitivity, aggregate_utility
 from lsvcg.superimpose import AlgorithmConfig, obedience_check, obedient_actions, run_algorithm
 
@@ -148,12 +148,9 @@ def test_criterion_2_budget_identity():
     worst = 0.0
     worst_strong = 0.0
     for scenario in _binding_scenarios(2):
-        assignments = replicate_assignments(
-            scenario.population.shares, scenario.population.num_agents, scenario.type_space
-        )
-        reports = truthful_reports(assignments)
+        profile = Profile.truthful(scenario.population, scenario.type_space)
         for beta in (0.0, 0.5, 1.0):
-            outcome = large_scale_vcg(reports, assignments, scenario, beta=beta)
+            outcome = large_scale_vcg(profile, scenario, beta=beta)
             total, predicted = budget_audit(outcome, replace(scenario, beta=beta))
             scale = max(1.0, float(outcome.prices @ scenario.capacities))
             worst = max(worst, abs(total - predicted) / scale)
@@ -170,11 +167,9 @@ def test_criterion_2_budget_identity():
 def test_criterion_3_individual_rationality():
     worst = np.inf
     for scenario in _binding_scenarios(3):
-        assignments = replicate_assignments(
-            scenario.population.shares, scenario.population.num_agents, scenario.type_space
-        )
+        profile = Profile.truthful(scenario.population, scenario.type_space)
         for beta in (0.0, 0.5, 1.0):
-            outcome = large_scale_vcg(truthful_reports(assignments), assignments, scenario, beta=beta)
+            outcome = large_scale_vcg(profile, scenario, beta=beta)
             worst = min(worst, ir_audit(outcome))
     _report("03", worst >= -1e-9, f"minimum truthful payoff across 100 scenarios x 3 betas: {worst:.2e}")
 
@@ -208,8 +203,8 @@ def test_criterion_5_payment_gap_convergence():
     gaps = {}
     for num_agents in (4, 8, 16, 32, 64):
         scenario = scale_capacity(base, num_agents)
-        assignments = replicate_assignments(base.population.shares, num_agents, base.type_space)
-        gaps[num_agents] = float(np.max(shadow_payment_gap(assignments, scenario)))
+        profile = Profile.truthful(Population(base.population.shares, num_agents), base.type_space)
+        gaps[num_agents] = float(np.max(shadow_payment_gap(profile, scenario)))
     elapsed = time.perf_counter() - started
     sizes = sorted(gaps)
     monotone = all(gaps[b] <= gaps[a] * 1.05 for a, b in zip(sizes, sizes[1:]))
@@ -333,7 +328,8 @@ def test_criterion_8_obedience_and_fixed_point():
         base = obedience_scenario(rng_for(SEED, 8, k), num_agents=1000)
         scenario = scale_capacity(base, 1000)
         assignments = replicate_assignments(scenario.population.shares, 1000, scenario.type_space)
-        trace = run_algorithm(obedient_actions(assignments), assignments, scenario, config)
+        profile = Profile.from_agents(assignments, scenario.type_space)
+        trace = run_algorithm(obedient_actions(profile), scenario, config)
         assert trace.converged
         central, _ = lsvcg.solve_agent_list(assignments, scenario)
         worst_price_err = max(worst_price_err, float(np.max(np.abs(trace.final_prices - central.p))))

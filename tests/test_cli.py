@@ -151,6 +151,33 @@ def test_superimpose_trace_and_outcome(scenario_file, tmp_path):
     assert meta["converged"] is True
 
 
+def test_superimpose_unconverged_exits_3(scenario_file, tmp_path, monkeypatch, capsys):
+    import lsvcg.cli as cli
+    from lsvcg.superimpose import AlgorithmConfig
+
+    real = cli.run_algorithm
+    monkeypatch.setattr(
+        cli, "run_algorithm", lambda profile, scenario: real(profile, scenario, AlgorithmConfig(gamma0=0.0, max_rounds=5))
+    )
+    out = tmp_path / "run"
+    assert _run("superimpose", "--scenario", str(scenario_file), "--out", str(out)) == 3
+    assert "did not converge in 5 rounds" in capsys.readouterr().err
+    trace = [l for l in (out / "trace.csv").read_text().strip().splitlines() if not l.startswith("#")]
+    assert len(trace) == 1 + 5
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["converged"] is False and meta["rounds"] == 5
+    assert not (out / "outcome.csv").exists()
+
+
+def test_flags_belong_to_their_subcommands(scenario_file, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        _run("solve", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"), "--workers", "2")
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        _run("lsvcg", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"), "--mode", "myopic")
+    assert exc.value.code == 2
+
+
 def test_dynamic_subcommand(dynamic_file, tmp_path):
     out = tmp_path / "run"
     assert _run("dynamic", "--scenario", str(dynamic_file), "--out", str(out), "--mode", "myopic") == 0

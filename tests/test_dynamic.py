@@ -16,7 +16,7 @@ from lsvcg.dynamic import (
     value_u_sigma,
 )
 from lsvcg.generate import dynamic_benchmark, random_dynamic_scenario, rng_for
-from lsvcg.mechanisms import large_scale_vcg, truthful_reports
+from lsvcg.mechanisms import large_scale_vcg
 from lsvcg.model import ValidationError
 
 
@@ -160,10 +160,10 @@ def test_slot_reduces_to_static_mechanism_for_independent_kernel():
     ts = dyn.static.type_space
     probes = [ts.unflatten(r) for r in range(ts.num_types)]
     from dataclasses import replace
-    from lsvcg.model import Population
+    from lsvcg.model import Population, Profile
 
     static = replace(dyn.static, population=Population(shares=dyn.rho0, num_agents=None))
-    outcome = large_scale_vcg(truthful_reports(probes), probes, static, report_distribution=dyn.rho0)
+    outcome = large_scale_vcg(Profile.from_agents(probes, ts), static, report_distribution=dyn.rho0)
     assert np.allclose(slot.z, outcome.allocations, atol=1e-6)
     assert np.allclose(slot.p, outcome.prices, atol=1e-6)
 

@@ -12,15 +12,23 @@ from lsvcg.generate import (
 )
 from lsvcg.mechanisms import (
     EXACT_VCG_MAX_AGENTS,
-    Report,
     budget_audit,
     ir_audit,
     large_scale_vcg,
     shadow_payment_gap,
-    truthful_reports,
     vcg_exact,
 )
-from lsvcg.model import InfluenceParams, Population, Scenario, TypeSpace, UtilityParams, ValidationError, utility_value
+from lsvcg.model import (
+    InfluenceParams,
+    Population,
+    Profile,
+    Report,
+    Scenario,
+    TypeSpace,
+    UtilityParams,
+    ValidationError,
+    utility_value,
+)
 from lsvcg.solver import solve_agent_list
 
 
@@ -40,7 +48,7 @@ def _two_agent_scenario():
 
 
 def test_single_agent_pays_nothing(bench1):
-    outcome = vcg_exact(truthful_reports([(0, 0)]), [(0, 0)], bench1)
+    outcome = vcg_exact(Profile.from_agents([(0, 0)], bench1.type_space), bench1)
     assert outcome.payments[0] == 0.0
     assert outcome.payoffs[0] == pytest.approx(math.log(2.0))
 
@@ -48,7 +56,7 @@ def test_single_agent_pays_nothing(bench1):
 def test_two_identical_agents_closed_form_payment():
     scenario = _two_agent_scenario()
     assignments = [(0, 0), (0, 0)]
-    outcome = vcg_exact(truthful_reports(assignments), assignments, scenario)
+    outcome = vcg_exact(Profile.from_agents(assignments, scenario.type_space), scenario)
     assert np.allclose(outcome.allocations, 1.0, atol=1e-10)
     expected = math.log(3.0) - math.log(2.0)  # lone-agent optimum minus share at the joint one
     assert outcome.payments == pytest.approx([expected, expected], abs=1e-9)
@@ -58,7 +66,7 @@ def test_scale_guard():
     scenario = _two_agent_scenario()
     assignments = [(0, 0)] * (EXACT_VCG_MAX_AGENTS + 1)
     with pytest.raises(ValidationError, match="large_scale_vcg"):
-        vcg_exact(truthful_reports(assignments), assignments, scenario)
+        vcg_exact(Profile.from_agents(assignments, scenario.type_space), scenario)
 
 
 def test_truth_is_dominant_in_exhaustive_sweep():
@@ -80,7 +88,8 @@ def test_truth_is_dominant_in_exhaustive_sweep():
         for deviator_true in [(0, 0), (1, 0)]:
             payoffs = {}
             for own in reports_set:
-                outcome = vcg_exact([own] + opponents, [deviator_true] + true_types[1:], scenario)
+                profile = Profile.from_agents([deviator_true] + true_types[1:], scenario.type_space, [own] + opponents)
+                outcome = vcg_exact(profile, scenario)
                 payoffs[own] = outcome.payoffs[0]
             truthful = payoffs[Report(*deviator_true)]
             assert truthful >= max(payoffs.values()) - 1e-9
@@ -92,7 +101,7 @@ def test_truth_is_dominant_in_exhaustive_sweep():
 def test_truthful_run_solves_reported_program(bench_gap):
     scenario = scale_capacity(bench_gap, 8)
     assignments = replicate_assignments(bench_gap.population.shares, 8, bench_gap.type_space)
-    outcome = large_scale_vcg(truthful_reports(assignments), assignments, scenario)
+    outcome = large_scale_vcg(Profile.from_agents(assignments, scenario.type_space), scenario)
     sol, pop = solve_agent_list(assignments, scenario)
     for i, (theta, zeta) in enumerate(assignments):
         r = scenario.type_space.flat_index(theta, zeta)
@@ -105,7 +114,7 @@ def test_truthful_run_solves_reported_program(bench_gap):
 def test_budget_identity_binding(beta, rng):
     scenario = random_scenario(rng, num_theta=2, num_zeta=2, num_resources=2, num_agents=12, beta=beta)
     assignments = replicate_assignments(scenario.population.shares, 12, scenario.type_space)
-    outcome = large_scale_vcg(truthful_reports(assignments), assignments, scenario)
+    outcome = large_scale_vcg(Profile.from_agents(assignments, scenario.type_space), scenario)
     total, predicted = budget_audit(outcome, scenario)
     assert total == pytest.approx(predicted, abs=1e-8 * max(1.0, abs(predicted)))
     expected = float(outcome.prices @ ((1 - beta) * scenario.capacities))
@@ -118,7 +127,7 @@ def test_budget_audit_slack_fallback(bench1):
     from dataclasses import replace
 
     slack = replace(bench1, capacities=np.array([100.0]), beta=0.0)
-    outcome = large_scale_vcg(truthful_reports([(0, 0)]), [(0, 0)], slack)
+    outcome = large_scale_vcg(Profile.from_agents([(0, 0)], slack.type_space), slack)
     total, predicted = budget_audit(outcome, slack)
     assert total == pytest.approx(0.0, abs=1e-12)  # zero price, zero payments
     assert predicted == pytest.approx(0.0, abs=1e-12)
@@ -137,7 +146,7 @@ def test_weak_budget_balance_across_beta(rng):
             quadratic=bool(rng.integers(2)),
         )
         assignments = replicate_assignments(scenario.population.shares, 8, scenario.type_space)
-        outcome = large_scale_vcg(truthful_reports(assignments), assignments, scenario)
+        outcome = large_scale_vcg(Profile.from_agents(assignments, scenario.type_space), scenario)
         assert float(np.sum(outcome.payments)) >= -1e-9
 
 
@@ -145,16 +154,16 @@ def test_individual_rationality_truthful(rng):
     for beta in (0.0, 1.0):
         scenario = random_scenario(rng, num_theta=2, num_zeta=1, num_resources=2, num_agents=8, beta=beta)
         assignments = replicate_assignments(scenario.population.shares, 8, scenario.type_space)
-        outcome = large_scale_vcg(truthful_reports(assignments), assignments, scenario)
+        outcome = large_scale_vcg(Profile.from_agents(assignments, scenario.type_space), scenario)
         assert ir_audit(outcome) >= -1e-9
 
 
 def test_payoff_accounting_is_exact(rng):
     scenario = random_scenario(rng, num_theta=2, num_zeta=2, num_resources=1, num_agents=8)
     assignments = replicate_assignments(scenario.population.shares, 8, scenario.type_space)
-    reports = truthful_reports(assignments)
-    reports[0] = Report(1, 1)  # one misreport; payoffs must still use true types
-    outcome = large_scale_vcg(reports, assignments, scenario)
+    # one misreport; payoffs must still use true types
+    profile = Profile.from_agents(assignments, scenario.type_space).with_report(0, Report(1, 1))
+    outcome = large_scale_vcg(profile, scenario)
     for i, (theta, _) in enumerate(assignments):
         expected = utility_value(scenario.utility, theta, outcome.allocations[i]) - outcome.payments[i]
         assert outcome.payoffs[i] == expected
@@ -163,9 +172,10 @@ def test_payoff_accounting_is_exact(rng):
 def test_equal_treatment_of_equal_reports(rng):
     scenario = random_scenario(rng, num_theta=2, num_zeta=1, num_resources=1, num_agents=8)
     assignments = replicate_assignments(scenario.population.shares, 8, scenario.type_space)
-    outcome = large_scale_vcg(truthful_reports(assignments), assignments, scenario)
-    for i, ri in enumerate(outcome.reports):
-        for j, rj in enumerate(outcome.reports):
+    outcome = large_scale_vcg(Profile.from_agents(assignments, scenario.type_space), scenario)
+    reports = outcome.profile.report_idx
+    for i, ri in enumerate(reports):
+        for j, rj in enumerate(reports):
             if ri == rj and assignments[i] == assignments[j]:
                 assert np.array_equal(outcome.allocations[i], outcome.allocations[j])
                 assert outcome.payments[i] == outcome.payments[j]
@@ -174,10 +184,10 @@ def test_equal_treatment_of_equal_reports(rng):
 def test_payments_invariant_under_agent_permutation(rng):
     scenario = random_scenario(rng, num_theta=2, num_zeta=2, num_resources=1, num_agents=8)
     assignments = replicate_assignments(scenario.population.shares, 8, scenario.type_space)
-    outcome = large_scale_vcg(truthful_reports(assignments), assignments, scenario)
+    outcome = large_scale_vcg(Profile.from_agents(assignments, scenario.type_space), scenario)
     perm = list(rng.permutation(len(assignments)))
     shuffled = [assignments[k] for k in perm]
-    outcome_perm = large_scale_vcg(truthful_reports(shuffled), shuffled, scenario)
+    outcome_perm = large_scale_vcg(Profile.from_agents(shuffled, scenario.type_space), scenario)
     assert np.array_equal(outcome_perm.payments, outcome.payments[perm])
 
 
@@ -189,15 +199,14 @@ def test_mean_field_truth_dominates_menu(rng):
         ts = scenario.type_space
         probes = [ts.unflatten(r) for r in range(ts.num_types)]
         truthful = large_scale_vcg(
-            truthful_reports(probes), probes, scenario, report_distribution=scenario.population
+            Profile.from_agents(probes, ts), scenario, report_distribution=scenario.population
         )
         for r, true_type in enumerate(probes):
             for alt in range(ts.num_types):
                 if alt == r:
                     continue
                 dev = large_scale_vcg(
-                    [Report(*ts.unflatten(alt))],
-                    [true_type],
+                    Profile.from_agents([true_type], ts, [Report(*ts.unflatten(alt))]),
                     scenario,
                     report_distribution=scenario.population,
                 )
@@ -208,7 +217,7 @@ def test_mean_field_truth_dominates_menu(rng):
 
 
 def test_payment_gap_single_agent_records_shadow_total(bench1):
-    gaps = shadow_payment_gap([(0, 0)], bench1)
+    gaps = shadow_payment_gap(Profile.from_agents([(0, 0)], bench1.type_space), bench1)
     # the lone agent's exact payment is zero, so the gap is the shadow total
     assert gaps[0] == pytest.approx(0.5 * 1.0)
 
@@ -218,8 +227,8 @@ def test_payment_gap_shrinks_with_replication():
     gaps = {}
     for num_agents in (4, 8, 16, 32, 64):
         scenario = scale_capacity(base, num_agents)
-        assignments = replicate_assignments(base.population.shares, num_agents, base.type_space)
-        gaps[num_agents] = float(np.max(shadow_payment_gap(assignments, scenario)))
+        profile = Profile.truthful(Population(base.population.shares, num_agents), base.type_space)
+        gaps[num_agents] = float(np.max(shadow_payment_gap(profile, scenario)))
     sizes = sorted(gaps)
     for small, big in zip(sizes, sizes[1:]):
         assert gaps[big] <= gaps[small] * 1.05

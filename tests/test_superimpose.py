@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from lsvcg.generate import obedience_scenario, rng_for, scale_capacity, single_type_benchmark
-from lsvcg.mechanisms import large_scale_vcg, truthful_reports
-from lsvcg.model import Population, ValidationError
+from lsvcg.mechanisms import large_scale_vcg
+from lsvcg.model import Population, Profile, Report, ValidationError
 from lsvcg.solver import solve_agent_list
 from lsvcg.superimpose import (
-    Action,
     AlgorithmConfig,
-    default_decision_rule,
     obedience_check,
     obedient_actions,
     run_algorithm,
@@ -27,28 +25,26 @@ def _replicated_single_type(num_agents):
         population=Population(shares=[1.0], num_agents=num_agents),
         capacities=base.capacities * num_agents,
     )
-    return scenario, [(0, 0)] * num_agents
+    return scenario, Profile.from_agents([(0, 0)] * num_agents, scenario.type_space)
 
 
 def test_obedient_run_reaches_centralized_solution():
-    scenario, assignments = _replicated_single_type(50)
-    trace = run_algorithm(obedient_actions(assignments), assignments, scenario)
+    scenario, profile = _replicated_single_type(50)
+    trace = run_algorithm(obedient_actions(profile), scenario)
     assert trace.converged
     assert trace.final_prices[0] == pytest.approx(0.5, abs=1e-6)
     assert np.allclose(trace.final_allocations, 1.0, atol=1e-5)
 
 
 def test_prices_stay_nonnegative_every_round():
-    scenario, assignments = _replicated_single_type(20)
-    trace = run_algorithm(obedient_actions(assignments), assignments, scenario)
+    scenario, profile = _replicated_single_type(20)
+    trace = run_algorithm(obedient_actions(profile), scenario)
     assert np.all(trace.round_prices >= 0.0)
 
 
 def test_zero_step_never_moves_prices():
-    scenario, assignments = _replicated_single_type(10)
-    trace = run_algorithm(
-        obedient_actions(assignments), assignments, scenario, AlgorithmConfig(gamma0=0.0, max_rounds=500)
-    )
+    scenario, profile = _replicated_single_type(10)
+    trace = run_algorithm(obedient_actions(profile), scenario, AlgorithmConfig(gamma0=0.0, max_rounds=500))
     assert not trace.converged
     assert np.all(trace.round_prices == 0.0)
 
@@ -56,24 +52,19 @@ def test_zero_step_never_moves_prices():
 def test_zero_step_converges_when_capacity_slack():
     from dataclasses import replace
 
-    scenario, assignments = _replicated_single_type(10)
+    scenario, profile = _replicated_single_type(10)
     slack = replace(scenario, capacities=scenario.capacities * 1e4)
-    trace = run_algorithm(
-        obedient_actions(assignments), assignments, slack, AlgorithmConfig(gamma0=0.0, max_rounds=50)
-    )
+    trace = run_algorithm(obedient_actions(profile), slack, AlgorithmConfig(gamma0=0.0, max_rounds=50))
     assert trace.converged and trace.rounds_used == 1
 
 
 def test_single_deviator_barely_moves_prices():
     rng = rng_for(17, 0)
     scenario = scale_capacity(obedience_scenario(rng, num_agents=1000), 1000)
-    assignments = []
-    for r, c in enumerate(scenario.population.counts()):
-        assignments.extend([scenario.type_space.unflatten(r)] * c)
-    obedient = run_algorithm(obedient_actions(assignments), assignments, scenario)
-    deviant_actions = obedient_actions(assignments)
-    deviant_actions[0] = Action(impersonated_type=assignments[-1])
-    deviant = run_algorithm(deviant_actions, assignments, scenario)
+    profile = Profile.truthful(scenario.population, scenario.type_space)
+    obedient = run_algorithm(obedient_actions(profile), scenario)
+    last = Report(*scenario.type_space.unflatten(int(profile.true_idx[-1])))
+    deviant = run_algorithm(profile.with_report(0, last), scenario)
     assert np.max(np.abs(deviant.final_prices - obedient.final_prices)) <= 1e-3
 
 
@@ -90,48 +81,43 @@ def test_deviation_price_impact_scales_inversely_with_agents():
             population=Population(shares=base.population.shares, num_agents=num_agents),
             capacities=base.capacities * num_agents,
         )
-        assignments = []
-        for r, c in enumerate(scenario.population.counts()):
-            assignments.extend([scenario.type_space.unflatten(r)] * c)
-        obedient = run_algorithm(obedient_actions(assignments), assignments, scenario)
-        acts = obedient_actions(assignments)
-        acts[0] = Action(impersonated_type=assignments[-1])
-        deviant = run_algorithm(acts, assignments, scenario)
+        profile = Profile.truthful(scenario.population, scenario.type_space)
+        obedient = run_algorithm(obedient_actions(profile), scenario)
+        last = Report(*scenario.type_space.unflatten(int(profile.true_idx[-1])))
+        deviant = run_algorithm(profile.with_report(0, last), scenario)
         assert np.max(np.abs(deviant.final_prices - obedient.final_prices)) <= K / num_agents
 
 
 def test_payments_read_only_trace_outputs():
-    scenario, assignments = _replicated_single_type(10)
-    trace = run_algorithm(obedient_actions(assignments), assignments, scenario)
-    first = superimposed_outcome(trace, assignments, scenario)
-    second = superimposed_outcome(trace, assignments, scenario)
+    scenario, profile = _replicated_single_type(10)
+    trace = run_algorithm(obedient_actions(profile), scenario)
+    first = superimposed_outcome(trace, scenario)
+    second = superimposed_outcome(trace, scenario)
     assert np.array_equal(first.payments, second.payments)
 
 
 def test_unconverged_trace_rejected_by_overlay():
-    scenario, assignments = _replicated_single_type(10)
-    trace = run_algorithm(
-        obedient_actions(assignments), assignments, scenario, AlgorithmConfig(gamma0=0.0, max_rounds=5)
-    )
+    scenario, profile = _replicated_single_type(10)
+    trace = run_algorithm(obedient_actions(profile), scenario, AlgorithmConfig(gamma0=0.0, max_rounds=5))
     with pytest.raises(ValidationError, match="unconverged"):
-        superimposed_outcome(trace, assignments, scenario)
+        superimposed_outcome(trace, scenario)
 
 
 def test_overlay_matches_shadow_price_mechanism():
-    scenario, assignments = _replicated_single_type(40)
-    trace = run_algorithm(obedient_actions(assignments), assignments, scenario)
-    overlay = superimposed_outcome(trace, assignments, scenario)
-    direct = large_scale_vcg(truthful_reports(assignments), assignments, scenario)
+    scenario, profile = _replicated_single_type(40)
+    trace = run_algorithm(obedient_actions(profile), scenario)
+    overlay = superimposed_outcome(trace, scenario)
+    direct = large_scale_vcg(profile, scenario)
     assert np.max(np.abs(overlay.payments - direct.payments)) <= 2e-3
 
 
 def test_strong_budget_balance_on_obedient_trace():
     from dataclasses import replace
 
-    scenario, assignments = _replicated_single_type(40)
+    scenario, profile = _replicated_single_type(40)
     scenario = replace(scenario, beta=1.0)
-    trace = run_algorithm(obedient_actions(assignments), assignments, scenario)
-    overlay = superimposed_outcome(trace, assignments, scenario)
+    trace = run_algorithm(obedient_actions(profile), scenario)
+    overlay = superimposed_outcome(trace, scenario)
     assert abs(float(np.sum(overlay.payments))) <= 1e-3
 
 
@@ -142,7 +128,7 @@ def test_algorithm_has_no_payment_code():
 
 
 def test_obedience_margin_single_type_is_zero():
-    scenario, assignments = _replicated_single_type(10)
+    scenario, _ = _replicated_single_type(10)
     obedient, best_dev, margin = obedience_check(scenario, 10, (0, 0))
     assert margin == 0.0 and obedient == best_dev
 
@@ -179,11 +165,3 @@ def test_obedience_margin_does_not_worsen_with_scale():
         assert abs(margins[4000, r] - limit) <= abs(margins[1000, r] - limit) + 1e-6
         if margins[1000, r] <= limit:  # deviation-favored side: scale never hurts
             assert margins[4000, r] >= margins[1000, r] - 1e-6
-
-
-def test_default_decision_rule_is_total(bench_gap):
-    rule = default_decision_rule(bench_gap)
-    ts = bench_gap.type_space
-    assert set(rule.prescribed_action) == {ts.unflatten(r) for r in range(ts.num_types)}
-    for key, action in rule.prescribed_action.items():
-        assert action.impersonated_type == key
