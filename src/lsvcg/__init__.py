@@ -49,6 +49,7 @@ from .mechanisms import (
     outcome_cell_rows,
     outcome_rows,
     shadow_payment_gap,
+    shadow_price_outcome,
     vcg_exact,
 )
 from .incentives import (

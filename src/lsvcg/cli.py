@@ -8,7 +8,8 @@ of the same manifest; a ``meta.json`` record accompanies every run.  Wall
 time is reported on standard error only, so it never perturbs the outputs.
 
 Exit codes: 0 success, 2 validation problems (bad documents, bad flags),
-3 solver failures.
+3 solver failures (a market that does not clear, an unconverged distributed
+run, or a sensitivity asked for at a degenerate point).
 """
 
 from __future__ import annotations
@@ -28,7 +29,14 @@ from .dynamic import dynamic_incentive_gap, dynamic_mechanism_step, load_dynamic
 from .incentives import gain_within_bound, incentive_gap, sweep_from_reports
 from .mechanisms import Outcome, budget_audit, large_scale_vcg, outcome_cell_rows, vcg_exact
 from .model import Profile, ValidationError, load_scenario
-from .solver import SolverError, DEFAULT_CONFIG, price_sensitivity, sensitivity_norm_bound_check, solve_population
+from .solver import (
+    DEFAULT_CONFIG,
+    DegeneratePointError,
+    SolverError,
+    price_sensitivity,
+    sensitivity_norm_bound_check,
+    solve_weighted,
+)
 from .superimpose import obedient_actions, run_algorithm, superimposed_outcome
 
 __all__ = ["RunManifest", "main"]
@@ -110,17 +118,6 @@ def _finite_profile(scenario) -> Profile:
     return Profile.truthful(scenario.population, scenario.type_space)
 
 
-def _solve_for_population(scenario):
-    """Finite populations share the capacities as totals; infinite ones read
-    them per capita.  Keeps every subcommand consistent on one document."""
-    from .solver import solve_weighted
-
-    pop = scenario.population
-    if pop.is_finite:
-        return solve_weighted(scenario, pop.shares, scenario.capacities / pop.num_agents)
-    return solve_population(scenario)
-
-
 def _type_rows_solution(scenario, solution):
     rows = []
     ts = scenario.type_space
@@ -138,7 +135,7 @@ def _type_rows_solution(scenario, solution):
 
 def cmd_solve(args, manifest: RunManifest, out: Path) -> None:
     scenario = _load_static(args)
-    solution = _solve_for_population(scenario)
+    solution = solve_weighted(scenario, scenario.population.shares, scenario.per_capita_capacities())
     _write_table(out / "solution.csv", _type_rows_solution(scenario, solution), manifest)
     _write_meta(out, manifest, {"iterations": solution.iterations, "kkt_residual": solution.kkt_residual})
 
@@ -215,7 +212,7 @@ def cmd_incentive_sweep(args, manifest: RunManifest, out: Path) -> None:
 
 def cmd_sensitivity(args, manifest: RunManifest, out: Path) -> None:
     scenario = _load_static(args)
-    solution = _solve_for_population(scenario)
+    solution = solve_weighted(scenario, scenario.population.shares, scenario.per_capita_capacities())
     sens = price_sensitivity(scenario, scenario.population, solution)
     ts = scenario.type_space
     rows = []
@@ -333,7 +330,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"lsvcg: validation error: {exc}", file=sys.stderr)
         return 2
-    except SolverError as exc:
+    except (SolverError, DegeneratePointError) as exc:
         print(f"lsvcg: solver error: {exc}", file=sys.stderr)
         return 3
     print(f"lsvcg: {args.subcommand} finished in {time.perf_counter() - started:.2f}s", file=sys.stderr)

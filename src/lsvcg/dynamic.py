@@ -25,7 +25,7 @@ from typing import Literal
 
 import numpy as np
 
-from .incentives import gain_within_bound
+from .incentives import gain_within_bound, misreport_gain_bound
 from .model import Scenario, ValidationError, scenario_from_dict, scenario_to_dict
 from .solver import DEFAULT_CONFIG, SolverConfig, SolverError, solve_weighted
 
@@ -530,12 +530,10 @@ def dynamic_incentive_gap(
     shares); a finite head count moves the reported shares by exactly
     ``1/num_agents`` and re-solves the slot.  Gains are per head, as in
     ``incentives.incentive_gap``.  Each row compares the measured gap with the
-    quadratic ceiling evaluated at that slot's smallest share
-    (``incentives.gain_within_bound``).
+    quadratic ceiling ``incentives.misreport_gain_bound`` evaluated at that
+    slot's shares (``incentives.gain_within_bound``).
     """
     num_types = dyn.num_types
-    l_theta_sum = float(np.sum(np.max(dyn.static.utility.weights, axis=1)))
-    caps_sq = float(np.sum(dyn.static.capacities**2))
     rows: list[DynamicIncentiveRow] = []
     for t in range(dyn.horizon):
         rho_t = policy.rho_path[t]
@@ -567,11 +565,7 @@ def dynamic_incentive_gap(
                     best = max(best, payoff(theta, alt) - truthful)
             per_type[theta] = best
 
-        if num_agents is None:
-            bound = 0.0
-        else:
-            min_rho = float(np.min(rho_t))
-            bound = (2.0 / num_agents**2) * l_theta_sum * caps_sq / (1.0 * min_rho**4)
+        bound = 0.0 if num_agents is None else misreport_gain_bound(dyn.static, rho_t, num_agents)
         max_gap = max(per_type.values()) if per_type else 0.0
         rows.append(
             DynamicIncentiveRow(

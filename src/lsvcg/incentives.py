@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Population, Scenario, ValidationError, utility_value
+from .mechanisms import shadow_price_outcome
+from .model import Population, Profile, Scenario, ValidationError
 from .solver import DEFAULT_CONFIG, SolverConfig, solve_weighted
 
 __all__ = [
@@ -67,17 +68,18 @@ class IncentiveSweep:
     slope: float
 
 
-def misreport_gain_bound(scenario: Scenario, rho: Population, num_agents: int) -> float:
+def misreport_gain_bound(scenario: Scenario, rho: Population | np.ndarray, num_agents: int) -> float:
     """Closed-form ceiling on any single agent's gain from misreporting.
 
-    ``holds`` flags compare it with per-head gains.  The paper's abstract does
-    not state the normalization of the agent's utility the ceiling assumes;
-    read against the deviator's share-weighted gain (per-head gain times
+    ``rho`` is a population or its shares.  ``holds`` flags compare the
+    ceiling with per-head gains.  The paper's abstract does not state the
+    normalization of the agent's utility the ceiling assumes; read against
+    the deviator's share-weighted gain (per-head gain times
     ``1 / num_agents``) it would be a factor ``num_agents`` looser.
     """
     if num_agents < 1:
         raise ValidationError("the gain bound needs a positive head count")
-    shares = rho.shares
+    shares = rho.shares if isinstance(rho, Population) else np.asarray(rho, dtype=float)
     if np.any(shares <= 0):
         raise ValidationError("the gain bound requires every type share to be positive")
     l_theta_sum = float(np.sum(np.max(scenario.utility.weights, axis=1)))
@@ -92,24 +94,6 @@ def misreport_gain_bound(scenario: Scenario, rho: Population, num_agents: int) -
 def gain_within_bound(gap: float, bound: float) -> bool:
     """Whether a per-head gain lies within the ceiling ``bound``, up to 1e-6 relative."""
     return gap <= bound * (1.0 + 1e-6)
-
-
-def _payoff(scenario: Scenario, weights, true_type, report_idx, beta, config) -> float:
-    """One agent's per-head payoff when the reported population is ``weights``.
-
-    Prices come from the per-capita program at the scenario capacities; the
-    agent consumes the menu row of its report, pays shadow prices on its
-    monitored (true-zeta) load, and receives the per-capita rebate
-    ``beta * C_n``.
-    """
-    solution = solve_weighted(scenario, weights, scenario.capacities, config)
-    z = solution.z[report_idx]
-    theta, zeta = true_type
-    a = scenario.influence.linear[zeta]
-    b = scenario.influence.quadratic[zeta]
-    load = a * z + b * z * z
-    payment = float(solution.p @ (load - beta * scenario.capacities))
-    return utility_value(scenario.utility, theta, z) - payment
 
 
 def incentive_gap(
@@ -131,22 +115,9 @@ def incentive_gap(
     """
     ts = scenario.type_space
     num_types = ts.num_types
-    beta = scenario.beta
 
     if num_agents is None:
         frozen = solve_weighted(scenario, base_rho.shares, scenario.capacities, config)
-        menu = frozen.z
-
-        def payoff(true_type, report_idx, _truth_idx):
-            theta, zeta = true_type
-            z = menu[report_idx]
-            a = scenario.influence.linear[zeta]
-            b = scenario.influence.quadratic[zeta]
-            load = a * z + b * z * z
-            return utility_value(scenario.utility, theta, z) - float(
-                frozen.p @ (load - beta * scenario.capacities)
-            )
-
         bound = 0.0
     else:
         counts = base_rho.shares * num_agents
@@ -159,30 +130,42 @@ def incentive_gap(
                 raise ValidationError("opponent_counts must be nonnegative, one per flattened type")
             if int(opponent_counts.sum()) != num_agents - 1:
                 raise ValidationError("opponent_counts must sum to num_agents - 1")
+        bound = misreport_gain_bound(scenario, base_rho, num_agents)
 
-        def payoff(true_type, report_idx, truth_idx):
+    def payoff(truth_idx: int, report_idx: int) -> float:
+        """Per-head payoff of a ``truth_idx`` agent announcing ``report_idx``.
+
+        Prices come from the per-capita program at the scenario capacities,
+        frozen or re-solved with the deviator's report counted; the agent is
+        charged as a mean-field probe, so it receives the rebate ``beta * C_n``.
+        """
+        if num_agents is None:
+            solution = frozen
+        else:
             if opponent_counts is None:
                 dev = counts.copy()
                 dev[truth_idx] -= 1
-                dev[report_idx] += 1
             else:
                 dev = opponent_counts.copy()
-                dev[report_idx] += 1
-            return _payoff(scenario, dev / num_agents, true_type, report_idx, beta, config)
-
-        bound = misreport_gain_bound(scenario, base_rho, num_agents)
+            dev[report_idx] += 1
+            solution = solve_weighted(scenario, dev / num_agents, scenario.capacities, config)
+        probe = Profile(ts, np.array([truth_idx]), np.array([report_idx]))
+        outcome = shadow_price_outcome(
+            probe, scenario, solution.z, solution.p, solution.constraint_slack, mean_field=True
+        )
+        return float(outcome.cell_payoffs[0])
 
     per_type_gap: dict[tuple[int, int], float] = {}
     best_misreport: dict[tuple[int, int], tuple[int, int] | None] = {}
     for r in range(num_types):
         true_type = ts.unflatten(r)
-        truthful = payoff(true_type, r, r)
+        truthful = payoff(r, r)
         best_gain = -math.inf
         best = None
         for r_alt in range(num_types):
             if r_alt == r:
                 continue
-            gain = payoff(true_type, r_alt, r) - truthful
+            gain = payoff(r, r_alt) - truthful
             if gain > best_gain:
                 best_gain, best = gain, ts.unflatten(r_alt)
         if best is None:  # single-type space: no alternative report exists

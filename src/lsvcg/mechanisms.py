@@ -11,6 +11,11 @@ the planner allocates from the solved menu):
   ``beta * C_n / I``.  Payments need only the market prices and observed
   loads, never a re-solve.
 
+The charge itself is :func:`shadow_price_outcome`: given any solved menu and
+its prices it is the one superimposable payment rule, shared by
+:func:`large_scale_vcg`, the distributed algorithm's overlay and the
+incentive probes.
+
 Populations arrive as a :class:`~lsvcg.model.Profile`.  Agents of one
 (true type, report) cell receive the same allocation, payment and payoff, so
 every rule computes once per occupied cell (at most ``R**2`` cells for ``R``
@@ -30,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Population, Profile, Report, Scenario, ValidationError, utility_value
+from .model import Population, Profile, Scenario, ValidationError, utility_value
 from .solver import (
     DEFAULT_CONFIG,
     SolverConfig,
@@ -38,10 +43,10 @@ from .solver import (
 )
 
 __all__ = [
-    "Report",
     "Outcome",
     "EXACT_VCG_MAX_AGENTS",
     "vcg_exact",
+    "shadow_price_outcome",
     "large_scale_vcg",
     "budget_audit",
     "ir_audit",
@@ -98,17 +103,9 @@ class Outcome:
         return self._per_agent(self.cell_payoffs)
 
 
-def _check_profile(profile: Profile, scenario: Scenario) -> None:
-    if profile.type_space != scenario.type_space:
-        raise ValidationError("the profile and the scenario have different type spaces")
-
-
 def _cell_loads(scenario: Scenario, cell_true: np.ndarray, cell_allocations: np.ndarray) -> np.ndarray:
     """Monitored load of each cell: its true zeta's influence at its allocation."""
-    zeta = cell_true % scenario.type_space.num_zeta
-    a = scenario.influence.linear[zeta]
-    b = scenario.influence.quadratic[zeta]
-    return a * cell_allocations + b * cell_allocations**2
+    return scenario.influence.load(cell_true % scenario.type_space.num_zeta, cell_allocations)
 
 
 def _cell_payoffs(
@@ -138,7 +135,7 @@ def vcg_exact(
     optimum.  Identical reports share identical subproblems, so the
     nominally ``I + 1`` solves reduce to one per distinct report plus one.
     """
-    _check_profile(profile, scenario)
+    scenario.check_profile(profile)
     num_agents = profile.num_agents
     if num_agents == 0:
         raise ValidationError("at least one agent is required")
@@ -179,6 +176,47 @@ def vcg_exact(
     )
 
 
+def shadow_price_outcome(
+    profile: Profile,
+    scenario: Scenario,
+    menu: np.ndarray,
+    prices: np.ndarray,
+    constraint_slack: np.ndarray,
+    beta: float | None = None,
+    mean_field: bool = False,
+) -> Outcome:
+    """Charge shadow prices on a solved menu: the superimposable payment rule.
+
+    Each agent receives row ``menu[report]`` and pays
+    ``sum_n prices_n * (f_true(z_report) - rebate_n)``, where the rebate is
+    ``beta * C_n / I`` for a finite population of ``I = profile.num_agents``
+    agents, and ``beta * C_n`` per capita in ``mean_field`` mode (the agents
+    are then measure-zero probes).  ``menu`` and ``prices`` may come from any
+    algorithm that solves the program; nothing is re-solved.
+    """
+    scenario.check_profile(profile)
+    beta = scenario.beta if beta is None else float(beta)
+    if not (0.0 <= beta <= 1.0):
+        raise ValidationError(f"beta must lie in [0, 1], got {beta!r}")
+    rebate = beta * scenario.capacities
+    if not mean_field:
+        rebate = rebate / profile.num_agents
+
+    cells = profile.cells
+    allocations = menu[cells.report_idx]
+    payments = (_cell_loads(scenario, cells.true_idx, allocations) - rebate) @ prices
+    return Outcome(
+        profile=profile,
+        cell_allocations=allocations,
+        cell_payments=payments,
+        cell_payoffs=_cell_payoffs(scenario, cells.true_idx, allocations, payments),
+        prices=prices,
+        beta=beta,
+        constraint_slack=constraint_slack,
+        mean_field=mean_field,
+    )
+
+
 def large_scale_vcg(
     profile: Profile,
     scenario: Scenario,
@@ -186,7 +224,7 @@ def large_scale_vcg(
     report_distribution: Population | np.ndarray | None = None,
     beta: float | None = None,
 ) -> Outcome:
-    """Shadow-price mechanism outcome.
+    """Shadow-price mechanism outcome: solve the reported program, then charge.
 
     Finite mode (``report_distribution is None``): the profile's agents are
     the whole population; the reported-type program is solved at the
@@ -198,41 +236,19 @@ def large_scale_vcg(
     ``beta * C_n``, and the profile's agents are measure-zero probes whose
     reports cannot move prices.
     """
-    _check_profile(profile, scenario)
-    beta = scenario.beta if beta is None else float(beta)
-    if not (0.0 <= beta <= 1.0):
-        raise ValidationError(f"beta must lie in [0, 1], got {beta!r}")
-
-    if report_distribution is None:
+    scenario.check_profile(profile)
+    mean_field = report_distribution is not None
+    if not mean_field:
         if profile.num_agents == 0:
             raise ValidationError("at least one agent is required")
-        solution = solve_weighted(scenario, profile.report_counts(), scenario.capacities, config)
-        rebate = beta * scenario.capacities / profile.num_agents
-        mean_field = False
+        weights = profile.report_counts()
+    elif isinstance(report_distribution, Population):
+        weights = report_distribution.shares
     else:
-        shares = (
-            report_distribution.shares
-            if isinstance(report_distribution, Population)
-            else np.asarray(report_distribution, dtype=float)
-        )
-        solution = solve_weighted(scenario, shares, scenario.capacities, config)
-        rebate = beta * scenario.capacities
-        mean_field = True
-
-    cells = profile.cells
-    allocations = solution.z[cells.report_idx]
-    # Matrix form, as the per-agent rule had it: a dot product per row can
-    # round differently in the last bit.
-    payments = (_cell_loads(scenario, cells.true_idx, allocations) - rebate[None, :]) @ solution.p
-    return Outcome(
-        profile=profile,
-        cell_allocations=allocations,
-        cell_payments=payments,
-        cell_payoffs=_cell_payoffs(scenario, cells.true_idx, allocations, payments),
-        prices=solution.p,
-        beta=beta,
-        constraint_slack=solution.constraint_slack,
-        mean_field=mean_field,
+        weights = np.asarray(report_distribution, dtype=float)
+    solution = solve_weighted(scenario, weights, scenario.capacities, config)
+    return shadow_price_outcome(
+        profile, scenario, solution.z, solution.p, solution.constraint_slack, beta, mean_field
     )
 
 

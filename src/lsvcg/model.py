@@ -133,6 +133,15 @@ class InfluenceParams:
         object.__setattr__(self, "linear", a)
         object.__setattr__(self, "quadratic", b)
 
+    def load(self, zeta, x):
+        """``f_zeta(x) = a*x + b*x*x`` row-wise: ``zeta`` indexes rows (``...`` takes
+        them all), ``x`` broadcasts against them."""
+        return self.linear[zeta] * x + self.quadratic[zeta] * x * x
+
+    def slope(self, zeta, x):
+        """``f'_zeta(x) = a + 2*b*x``, indexed and broadcast as :meth:`load`."""
+        return self.linear[zeta] + 2.0 * self.quadratic[zeta] * x
+
     @property
     def derivative_lower_bound(self) -> float:
         """Global lower bound on f' over x >= 0 (the smallest linear coefficient)."""
@@ -333,22 +342,36 @@ class Scenario:
     def type_weights(self) -> np.ndarray:
         return np.repeat(self.utility.weights, self.type_space.num_zeta, axis=0)
 
+    def type_zeta(self) -> np.ndarray:
+        """Influence row of every flattened type."""
+        return np.arange(self.type_space.num_types) % self.type_space.num_zeta
+
     def type_linear(self) -> np.ndarray:
         return np.tile(self.influence.linear, (self.type_space.num_theta, 1))
 
     def type_quadratic(self) -> np.ndarray:
         return np.tile(self.influence.quadratic, (self.type_space.num_theta, 1))
 
+    def per_capita_capacities(self) -> np.ndarray:
+        """Capacities per agent: totals shared by a finite population are
+        divided by its head count; a mean-field scenario's are already per capita."""
+        if self.population.is_finite:
+            return self.capacities / self.population.num_agents
+        return self.capacities
+
+    def check_profile(self, profile: Profile) -> None:
+        """Raise unless ``profile`` indexes this scenario's type space."""
+        if profile.type_space != self.type_space:
+            raise ValidationError("the profile and the scenario have different type spaces")
+
     def saturation_headroom(self) -> np.ndarray:
-        """Per-resource share-weighted influence at ``z_max`` minus capacity.
+        """Per-resource share-weighted influence at ``z_max`` minus per-capita capacity.
 
         Nonnegative everywhere means the cap can never bind before capacity
         does; scenario documents are required to satisfy this at load time.
         """
-        a = self.type_linear()
-        b = self.type_quadratic()
-        f_at_cap = a * self.z_max + b * self.z_max**2
-        return self.population.shares @ f_at_cap - self.capacities
+        f_at_cap = self.influence.load(self.type_zeta(), self.z_max)
+        return self.population.shares @ f_at_cap - self.per_capita_capacities()
 
 
 def utility_value(utility: UtilityParams, theta: int, x) -> float:
@@ -371,18 +394,14 @@ def influence_value(influence: InfluenceParams, zeta: int, n: int, x: float) -> 
     """``a*x + b*x**2`` for scalar ``x >= 0``."""
     if x < 0:
         raise ValidationError("influence argument must be nonnegative")
-    a = influence.linear[zeta, n]
-    b = influence.quadratic[zeta, n]
-    return float(a * x + b * x * x)
+    return float(influence.load(zeta, x)[n])
 
 
 def influence_derivative(influence: InfluenceParams, zeta: int, n: int, x: float) -> float:
     """``a + 2*b*x`` for scalar ``x >= 0``; always at least ``a``."""
     if x < 0:
         raise ValidationError("influence argument must be nonnegative")
-    a = influence.linear[zeta, n]
-    b = influence.quadratic[zeta, n]
-    return float(a + 2.0 * b * x)
+    return float(influence.slope(zeta, x)[n])
 
 
 def empirical_population(assignments: Sequence[tuple[int, int]], type_space: TypeSpace) -> Population:
@@ -466,7 +485,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if np.any(headroom < 0):
         bad = int(np.argmin(headroom))
         raise ValidationError(
-            f"z_max too small: share-weighted influence at z_max falls short of capacities[{bad}]"
+            f"z_max too small: share-weighted influence at z_max falls short of per-capita capacity {bad}"
         )
     return scenario
 

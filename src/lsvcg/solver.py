@@ -140,13 +140,7 @@ def best_response(theta: int, zeta: int, p, scenario: Scenario) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
         raise ValidationError("prices must be nonnegative")
-    w = scenario.utility.weights[theta]
-    a = scenario.influence.linear[zeta]
-    b = scenario.influence.quadratic[zeta]
-    out = np.empty(scenario.type_space.num_resources)
-    for n in range(out.size):
-        out[n] = _best_response_column(w[n : n + 1], a[n : n + 1], b[n : n + 1], float(p[n]), scenario.z_max)[0]
-    return out
+    return _response_matrix(scenario, p)[scenario.type_space.flat_index(theta, zeta)]
 
 
 def _response_matrix(scenario: Scenario, p: np.ndarray) -> np.ndarray:
@@ -161,9 +155,7 @@ def _response_matrix(scenario: Scenario, p: np.ndarray) -> np.ndarray:
 
 
 def _influence_matrix(scenario: Scenario, z: np.ndarray) -> np.ndarray:
-    a = scenario.type_linear()
-    b = scenario.type_quadratic()
-    return a * z + b * z * z
+    return scenario.influence.load(scenario.type_zeta(), z)
 
 
 def solve_weighted(
@@ -286,12 +278,8 @@ def kkt_residual(solution: PrimalDualSolution, scenario: Scenario, weights=None)
     """
     weights = solution.weights if weights is None else np.asarray(weights, dtype=float)
     z, p = solution.z, solution.p
-    w = scenario.type_weights()
-    a = scenario.type_linear()
-    b = scenario.type_quadratic()
-
-    grad_u = w / (1.0 + z)
-    grad_cost = p[None, :] * (a + 2.0 * b * z)
+    grad_u = scenario.type_weights() / (1.0 + z)
+    grad_cost = p[None, :] * scenario.influence.slope(scenario.type_zeta(), z)
     diff = grad_u - grad_cost
 
     interior = (z > 0.0) & (z < scenario.z_max)
@@ -329,9 +317,8 @@ def _sensitivity_system(scenario: Scenario, weights: np.ndarray, solution: Prima
         raise DegeneratePointError("sensitivity undefined at degenerate point: an allocation sits at a corner")
 
     w = scenario.type_weights()
-    a = scenario.type_linear()
     b = scenario.type_quadratic()
-    f_prime = a + 2.0 * b * z
+    f_prime = scenario.influence.slope(scenario.type_zeta(), z)
     curvature = p[None, :] * (2.0 * b) + w / (1.0 + z) ** 2  # p f'' - U'' > 0
     system = np.diag(np.sum(weights[:, None] * f_prime**2 / curvature, axis=0))
     f_values = _influence_matrix(scenario, z)  # (R, N)

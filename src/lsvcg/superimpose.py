@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .mechanisms import Outcome, _cell_loads, _cell_payoffs, _check_profile
-from .model import Population, Profile, Report, Scenario, ValidationError
+from .mechanisms import Outcome, shadow_price_outcome
+from .model import InfluenceParams, Population, Profile, Report, Scenario, ValidationError
 from .solver import _response_matrix  # shared closed-form best responses
 
 __all__ = [
@@ -118,7 +118,7 @@ def run_algorithm(
     projected at zero.  Stops when the per-capita excess is within tolerance
     on every resource, or at the round cap with ``converged=False``.
     """
-    _check_profile(profile, scenario)
+    scenario.check_profile(profile)
     num_agents = profile.num_agents
     if num_agents == 0:
         raise ValidationError("at least one agent is required")
@@ -131,16 +131,15 @@ def run_algorithm(
     keys = np.flatnonzero(group_counts)
     counts = group_counts[keys]
     zeta_rows, imp_rows = np.divmod(keys, ts.num_types)
-    a = scenario.influence.linear[zeta_rows]  # (G, N)
-    b = scenario.influence.quadratic[zeta_rows]
+    # Each group's influence rows, gathered once rather than every round.
+    influence = scenario.influence
+    group_influence = InfluenceParams(influence.linear[zeta_rows], influence.quadratic[zeta_rows])
 
     caps_per_capita = scenario.capacities / num_agents
     gamma0 = _default_gamma0(scenario) if config.gamma0 is None else config.gamma0
 
     def per_capita_demand(menu: np.ndarray) -> np.ndarray:
-        replies = menu[imp_rows]  # (G, N)
-        loads = a * replies + b * replies * replies
-        return (counts @ loads) / num_agents
+        return (counts @ group_influence.load(..., menu[imp_rows])) / num_agents
 
     p = np.zeros(ts.num_resources)
     prices_hist = []
@@ -180,33 +179,15 @@ def superimposed_outcome(
     """Charge shadow-price payments computed purely from the trace outputs.
 
     ``h_i = sum_n lambda_n * (f_true(x_i) - beta * C_n / I)`` with the
-    algorithm's own final prices and allocations for the trace's profile;
-    nothing is re-solved.
+    algorithm's own final prices and allocations for the trace's profile,
+    through :func:`~lsvcg.mechanisms.shadow_price_outcome`; nothing is
+    re-solved.
     """
     if not trace.converged:
         raise ValidationError("cannot superimpose payments on an unconverged trace")
-    beta = scenario.beta if beta is None else float(beta)
-    if not (0.0 <= beta <= 1.0):
-        raise ValidationError(f"beta must lie in [0, 1], got {beta!r}")
-
-    profile = trace.profile
-    num_agents = profile.num_agents
-    lam = trace.final_prices
-    rebate = beta * scenario.capacities / num_agents
-    cells = profile.cells
-    allocations = trace.final_menu[cells.report_idx]
-    loads = _cell_loads(scenario, cells.true_idx, allocations)
-    # One dot product per cell, not the matrix form of large_scale_vcg: the
-    # two round differently in the last bit, and this is the overlay's own.
-    payments = np.array([float(lam @ (load - rebate)) for load in loads])
-    return Outcome(
-        profile=profile,
-        cell_allocations=allocations,
-        cell_payments=payments,
-        cell_payoffs=_cell_payoffs(scenario, cells.true_idx, allocations, payments),
-        prices=lam,
-        beta=beta,
-        constraint_slack=-trace.final_excess * num_agents,
+    constraint_slack = -trace.final_excess * trace.profile.num_agents
+    return shadow_price_outcome(
+        trace.profile, scenario, trace.final_menu, trace.final_prices, constraint_slack, beta
     )
 
 

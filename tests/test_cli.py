@@ -5,8 +5,17 @@ import pytest
 
 from lsvcg.cli import main
 from lsvcg.dynamic import save_dynamic_scenario
-from lsvcg.generate import dynamic_benchmark, incentive_benchmark, payment_gap_benchmark, scale_capacity
-from lsvcg.model import Population, save_scenario
+from lsvcg.generate import (
+    dynamic_benchmark,
+    incentive_benchmark,
+    payment_gap_benchmark,
+    random_scenario,
+    rng_for,
+    scale_capacity,
+)
+from lsvcg.model import Population, load_scenario, save_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
@@ -82,8 +91,33 @@ def test_solver_failure_exits_3(scenario_file, tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise SolverError("no clearing price")
 
-    monkeypatch.setattr(cli, "_solve_for_population", boom)
+    monkeypatch.setattr(cli, "solve_weighted", boom)
     assert _run("solve", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")) == 3
+
+
+def test_degenerate_sensitivity_exits_3(tmp_path, capsys):
+    # the incentive document has an allocation at a corner, where the
+    # price sensitivity is undefined
+    doc = SCENARIOS / "incentive.json"
+    assert _run("sensitivity", "--scenario", str(doc), "--out", str(tmp_path / "o")) == 3
+    assert "degenerate point" in capsys.readouterr().err
+
+
+def test_head_count_document_loads_and_runs(tmp_path, capsys):
+    # capacities are totals over 1000 agents; the z_max headroom check reads
+    # them per capita
+    from dataclasses import replace
+
+    scenario = scale_capacity(random_scenario(rng_for(1), num_agents=1000), 1000)
+    path = tmp_path / "head_count.json"
+    path.write_bytes(save_scenario(scenario))
+    loaded = load_scenario(path.read_bytes())
+    assert list(loaded.per_capita_capacities()) == list(scenario.capacities / 1000)
+    for subcommand in ("solve", "lsvcg"):
+        assert _run(subcommand, "--scenario", str(path), "--out", str(tmp_path / subcommand)) == 0
+    path.write_bytes(save_scenario(replace(scenario, z_max=1e-3)))
+    assert _run("solve", "--scenario", str(path), "--out", str(tmp_path / "small")) == 2
+    assert "z_max too small" in capsys.readouterr().err
 
 
 def test_reruns_are_byte_identical(scenario_file, tmp_path):
@@ -126,7 +160,7 @@ def test_incentive_sweep_all_rows_hold(incentive_file, tmp_path):
 def test_incentive_sweep_undefined_slope_is_null(tmp_path):
     # the two-type document has no profitable misreport, so no gain is
     # positive and there is no slope to fit
-    doc = Path(__file__).resolve().parent.parent / "scenarios" / "two_type.json"
+    doc = SCENARIOS / "two_type.json"
     out = tmp_path / "run"
     assert _run("incentive-sweep", "--scenario", str(doc), "--out", str(out), "--i-list", "10,20,40") == 0
     meta = _strict_json(out / "meta.json")

@@ -9,7 +9,8 @@ from lsvcg.incentives import (
     misreport_gain_bound,
     verify_incentive_bound,
 )
-from lsvcg.model import InfluenceParams, Population, Scenario, TypeSpace, UtilityParams, ValidationError
+from lsvcg.mechanisms import large_scale_vcg
+from lsvcg.model import InfluenceParams, Population, Profile, Scenario, TypeSpace, UtilityParams, ValidationError
 
 
 def test_bound_formula_value():
@@ -55,6 +56,24 @@ def test_mean_field_gaps_vanish(bench_incentive):
     report = incentive_gap(bench_incentive, bench_incentive.population, None)
     assert report.max_gap <= 1e-9
     assert report.epsilon_bound == 0.0
+
+
+def test_frozen_gaps_are_mechanism_payoff_differences(bench_incentive):
+    # the frozen-price measurement must measure the mechanism itself: each
+    # gap is the difference of two mean-field probe payoffs of large_scale_vcg
+    scenario = bench_incentive
+    ts = scenario.type_space
+    report = incentive_gap(scenario, scenario.population, None)
+
+    def probe_payoff(truth: int, announced: int) -> float:
+        probe = Profile(ts, np.array([truth]), np.array([announced]))
+        return float(large_scale_vcg(probe, scenario, report_distribution=scenario.population).payoffs[0])
+
+    for r in range(ts.num_types):
+        gains = {ts.unflatten(alt): probe_payoff(r, alt) - probe_payoff(r, r) for alt in range(ts.num_types) if alt != r}
+        best = report.best_misreport[ts.unflatten(r)]
+        assert gains[best] == max(gains.values())
+        assert report.per_type_gap[ts.unflatten(r)] == max(0.0, gains[best])
 
 
 def test_single_type_space_has_no_deviation(bench1):

@@ -80,6 +80,19 @@ def test_influence_closed_forms():
     assert influence_derivative(f3, 0, 0, 3.0) == pytest.approx(8.0)
 
 
+def test_influence_rows_match_scalar_forms():
+    rng = rng_for(1, 2)
+    f = InfluenceParams(linear=rng.uniform(0.5, 2.0, (3, 4)), quadratic=rng.uniform(0.0, 1.0, (3, 4)))
+    x = rng.uniform(0.0, 5.0, (3, 4))
+    loads = f.load(np.arange(3), x)
+    slopes = f.slope(np.arange(3), x)
+    for z in range(3):
+        for n in range(4):
+            a, b, xz = float(f.linear[z, n]), float(f.quadratic[z, n]), float(x[z, n])
+            assert loads[z, n] == influence_value(f, z, n, xz) == a * xz + b * xz * xz
+            assert slopes[z, n] == influence_derivative(f, z, n, xz) == a + 2.0 * b * xz
+
+
 def test_influence_rejects_negative_argument():
     f = InfluenceParams(linear=[[1.0]], quadratic=[[0.0]])
     with pytest.raises(ValidationError):
