@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Print a digest of every file the CLI writes, to compare two checkouts.
+
+Runs every subcommand on every scenario document given (default:
+``scenarios/*.json``), ``dynamic`` in both modes, and ``dynamic`` on the
+``mixing`` and ``allocation`` presets at discounts 0.5 and 0.9.  Each run
+writes to a fresh temporary directory.  Prints one ``sha256  run/file`` line
+per output file and one ``exit N  run`` line per run, where ``run`` is
+``subcommand/scenario``.  Lines that name the scenario's path (its header
+line and its ``meta.json`` field) are left out of the hash, so two
+checkouts give equal printouts exactly when their outputs are
+byte-identical:
+
+    PYTHONPATH=src python scripts/output_digests.py > new.txt
+    PYTHONPATH=/path/to/other/checkout/src python scripts/output_digests.py > old.txt
+    diff old.txt new.txt
+
+Solver error messages go to standard error, which is not hashed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from lsvcg.cli import main
+from lsvcg.dynamic import save_dynamic_scenario
+from lsvcg.generate import dynamic_benchmark
+
+ROOT = Path(__file__).resolve().parent.parent
+STATIC_SUBCOMMANDS = ("solve", "vcg", "lsvcg", "incentive-sweep", "sensitivity", "superimpose")
+DYNAMIC_MODES = ("myopic", "oracle")
+PRESETS = [("mixing", 0.5), ("mixing", 0.9), ("allocation", 0.5), ("allocation", 0.9)]
+
+
+def digest(path: Path, scenario: str) -> str:
+    """sha256 of ``path`` without the lines that contain ``scenario``."""
+    lines = path.read_bytes().split(b"\n")
+    kept = [line for line in lines if scenario.encode("utf-8") not in line]
+    return hashlib.sha256(b"\n".join(kept)).hexdigest()
+
+
+def run(label: str, scenario: Path, argv: list[str], scratch: Path) -> list[str]:
+    out = Path(tempfile.mkdtemp(dir=scratch))
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, "--scenario", str(scenario), "--out", str(out)])
+    lines = [f"exit {code}  {label}"]
+    for path in sorted(out.iterdir()):
+        lines.append(f"{digest(path, str(scenario))}  {label}/{path.name}")
+    return lines
+
+
+def runs(documents: list[Path], scratch: Path):
+    """(label, document, argv) of every run."""
+    for doc in documents:
+        for sub in STATIC_SUBCOMMANDS:
+            yield f"{sub}/{doc.stem}", doc, [sub]
+        for mode in DYNAMIC_MODES:
+            yield f"dynamic-{mode}/{doc.stem}", doc, ["dynamic", "--mode", mode]
+    for kernel, discount in PRESETS:
+        doc = scratch / f"{kernel}-{discount}.json"
+        doc.write_bytes(save_dynamic_scenario(dynamic_benchmark(kernel, discount=discount, num_bins=4)))
+        for mode in DYNAMIC_MODES:
+            yield f"dynamic-{mode}/{doc.stem}", doc, ["dynamic", "--mode", mode]
+
+
+def main_digests(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("documents", nargs="*", type=Path, help="scenario documents (default: scenarios/*.json)")
+    args = parser.parse_args(argv)
+    documents = args.documents or sorted((ROOT / "scenarios").glob("*.json"))
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, doc, sub_argv in runs(documents, Path(tmp)):
+            print("\n".join(run(label, doc, sub_argv, Path(tmp))), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digests())

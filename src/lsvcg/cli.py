@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamic import dynamic_incentive_gap, dynamic_mechanism_step, load_dynamic_scenario, plan_policy, MeanFieldState
+from .dynamic import dynamic_incentive_gap, load_dynamic_scenario, plan_policy
 from .incentives import gain_within_bound, incentive_gap, sweep_from_reports
 from .mechanisms import Outcome, budget_audit, large_scale_vcg, outcome_cell_rows, vcg_exact
 from .model import Profile, ValidationError, load_scenario
@@ -259,9 +259,8 @@ def cmd_dynamic(args, manifest: RunManifest, out: Path) -> None:
     num_agents = dyn.static.population.num_agents if dyn.static.population.is_finite else None
     gap_rows = dynamic_incentive_gap(dyn, policy, num_agents)
     rows = []
-    for t in range(dyn.horizon):
-        state = MeanFieldState(rho=policy.rho_path[t], t=t)
-        slot = dynamic_mechanism_step(policy.rho_path[t], dyn, policy, state)
+    for t, gap_row in enumerate(gap_rows):
+        slot = gap_row.slot
         row = {"t": t}
         for theta in range(dyn.num_types):
             row[f"rho_{theta}"] = float(policy.rho_path[t, theta])
@@ -270,8 +269,8 @@ def cmd_dynamic(args, manifest: RunManifest, out: Path) -> None:
         row["p_0"] = float(slot.p[0])
         for theta in range(dyn.num_types):
             row[f"payment_{theta}"] = float(slot.payments[theta])
-        row["max_gap"] = gap_rows[t].max_gap
-        row["bound"] = gap_rows[t].bound
+        row["max_gap"] = gap_row.max_gap
+        row["bound"] = gap_row.bound
         rows.append(row)
     _write_table(out / "slots.csv", rows, manifest)
     _write_meta(out, manifest, {"mode": mode, "welfare": policy.welfare, "horizon": dyn.horizon})

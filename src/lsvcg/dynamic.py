@@ -27,7 +27,7 @@ import numpy as np
 
 from .incentives import gain_within_bound, misreport_gain_bound
 from .model import Scenario, ValidationError, scenario_from_dict, scenario_to_dict
-from .solver import DEFAULT_CONFIG, SolverConfig, SolverError, solve_weighted
+from .solver import DEFAULT_CONFIG, SolverConfig, SolverError, _clear_price, solve_weighted
 
 __all__ = [
     "TransitionKernel",
@@ -209,11 +209,14 @@ class SlotOutcome:
 
 @dataclass(frozen=True)
 class DynamicIncentiveRow:
+    """Best per-head misreport gains at one slot, with the truthful slot they were measured against."""
+
     t: int
     per_type_gap: dict[int, float]
     max_gap: float
     bound: float
     holds: bool
+    slot: SlotOutcome
 
 
 def _per_type_allocations(z, num_types: int) -> np.ndarray:
@@ -416,17 +419,16 @@ def value_u_sigma(
     return dyn.slot_utility(theta, z) + dyn.discount * cont
 
 
-def _binned_best_response(dyn, policy, state, theta: int, price: float) -> float:
-    """Maximize ``u(theta, z) + cont(bin(z)) - price*z`` over z in the bin range.
+def _binned_best_response(dyn, cont_row, w: float, price: float) -> float:
+    """Maximize ``w log(1 + z) + cont_row[bin(z)] - price*z`` over z in the bin range.
 
-    Within one bin the continuation is constant, so the maximizer is the
-    static log-utility response clamped to the bin; the best bin wins.  The
-    map is nonincreasing in price (higher prices never favor larger bins).
+    ``cont_row[k]`` is the discounted continuation value of landing in bin
+    ``k``.  Within one bin the continuation is constant, so the maximizer is
+    the static log-utility response clamped to the bin; the best bin wins.
+    The map is nonincreasing in price (higher prices never favor larger bins).
     """
-    w = float(dyn.static.utility.weights[theta, 0])
     edges = dyn.kernel.bin_edges
     z_cap = min(dyn.static.z_max, float(edges[-1]))
-    cont_row = dyn.discount * (policy.value_table[state.t + 1] @ dyn.kernel.probabilities[:, theta, :])
     best_value, best_z = -math.inf, 0.0
     for k in range(dyn.kernel.num_bins):
         lo = max(0.0, float(edges[k]))
@@ -473,40 +475,25 @@ def dynamic_mechanism_step(
         if dyn.static.type_space.num_resources != 1:
             raise ValidationError("allocation-dependent kernels are supported for a single resource only")
         cap = float(caps[0])
-        w = dyn.static.utility.weights[:, 0]
-        cont_span = float(np.max(policy.value_table[state.t + 1]) - np.min(policy.value_table[state.t + 1]))
+        w = [float(x) for x in dyn.static.utility.weights[:, 0]]
+        next_values = policy.value_table[state.t + 1]
+        # The continuation rows do not depend on the price: one per type per slot.
+        cont_rows = [dyn.discount * (next_values @ dyn.kernel.probabilities[:, theta, :]) for theta in range(num_types)]
+        cont_span = float(np.max(next_values) - np.min(next_values))
         first_edge = float(dyn.kernel.bin_edges[1]) if dyn.kernel.num_bins > 1 else 1.0
-        p_hi = float(np.max(w)) + dyn.discount * cont_span / max(first_edge, 1e-9) + 1.0
+        p_hi = max(w) + dyn.discount * cont_span / max(first_edge, 1e-9) + 1.0
+
+        def responses(price: float) -> list[float]:
+            return [_binned_best_response(dyn, cont_rows[theta], w[theta], price) for theta in range(num_types)]
 
         def demand(price: float) -> float:
-            return float(
-                sum(
-                    reports[theta] * _binned_best_response(dyn, policy, state, theta, price)
-                    for theta in range(num_types)
-                )
-            )
+            return float(sum(reports[theta] * z for theta, z in enumerate(responses(price))))
 
-        if demand(0.0) <= cap:
-            price = 0.0
-        else:
-            lo, hi = 0.0, p_hi
-            for _ in range(config.max_bisection_iters):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                if demand(mid) > cap:
-                    lo = mid
-                else:
-                    hi = mid
-            price = hi
-            if abs(demand(price) - cap) > 1e-6 * max(cap, 1.0):
-                raise SolverError(
-                    "slot market failed to clear: the binned objective produced a demand jump "
-                    f"of {abs(demand(price) - cap):.3e} at the capacity"
-                )
-        z = np.array(
-            [[_binned_best_response(dyn, policy, state, theta, price)] for theta in range(num_types)]
-        )
+        try:
+            price, _ = _clear_price(demand, cap, p_hi, 1e-6, config)
+        except SolverError as exc:
+            raise SolverError(f"slot {state.t} market {exc}") from None
+        z = np.array([[z_theta] for z_theta in responses(price)])
         p = np.array([price])
 
     payments = z @ p
@@ -531,7 +518,9 @@ def dynamic_incentive_gap(
     ``1/num_agents`` and re-solves the slot.  Gains are per head, as in
     ``incentives.incentive_gap``.  Each row compares the measured gap with the
     quadratic ceiling ``incentives.misreport_gain_bound`` evaluated at that
-    slot's shares (``incentives.gain_within_bound``).
+    slot's shares (``incentives.gain_within_bound``).  The truthful slot is
+    priced once per slot; every truthful and frozen-price payoff reads it,
+    and the row carries it as ``slot``.
     """
     num_types = dyn.num_types
     rows: list[DynamicIncentiveRow] = []
@@ -540,18 +529,18 @@ def dynamic_incentive_gap(
         state = MeanFieldState(rho=rho_t, t=t)
         if num_agents is not None and np.any(rho_t <= 0):
             raise ValidationError(f"bound undefined: a type share hits zero at slot {t}")
+        truthful_slot = dynamic_mechanism_step(rho_t, dyn, policy, state, config)
 
         def payoff(theta: int, report: int) -> float:
             if num_agents is None or report == theta:
-                shares = rho_t  # a truthful report leaves the slot shares untouched
+                slot = truthful_slot  # a lone or truthful report leaves the slot shares untouched
             else:
                 shares = rho_t.copy()
                 shares[theta] -= 1.0 / num_agents
                 shares[report] += 1.0 / num_agents
                 if shares[theta] < -1e-12:
                     return -math.inf  # fewer than one agent of this type at this slot
-                shares = np.maximum(shares, 0.0)
-            slot = dynamic_mechanism_step(shares, dyn, policy, state, config)
+                slot = dynamic_mechanism_step(np.maximum(shares, 0.0), dyn, policy, state, config)
             return value_u_sigma(dyn, policy, theta, slot.z[report], state) - float(slot.z[report] @ slot.p)
 
         per_type: dict[int, float] = {}
@@ -574,6 +563,7 @@ def dynamic_incentive_gap(
                 max_gap=max_gap,
                 bound=bound,
                 holds=gain_within_bound(max_gap, bound) if num_agents is not None else max_gap <= 1e-9,
+                slot=truthful_slot,
             )
         )
     return rows

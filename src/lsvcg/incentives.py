@@ -111,14 +111,16 @@ def incentive_gap(
     exactly one agent and the program is re-solved, so the full price impact
     of the deviation is included.  ``opponent_counts`` optionally fixes the
     other agents' reports (integer counts summing to ``num_agents - 1``);
-    by default opponents report truthfully.
+    by default opponents report truthfully, and the truthful market is
+    solved once.
     """
     ts = scenario.type_space
     num_types = ts.num_types
 
     if num_agents is None:
-        frozen = solve_weighted(scenario, base_rho.shares, scenario.capacities, config)
-        bound = 0.0
+        if opponent_counts is not None:
+            raise ValidationError("opponent_counts needs a finite num_agents")
+        truthful_shares, bound = base_rho.shares, 0.0
     else:
         counts = base_rho.shares * num_agents
         if np.any(np.abs(counts - np.round(counts)) > 1e-9):
@@ -130,7 +132,9 @@ def incentive_gap(
                 raise ValidationError("opponent_counts must be nonnegative, one per flattened type")
             if int(opponent_counts.sum()) != num_agents - 1:
                 raise ValidationError("opponent_counts must sum to num_agents - 1")
-        bound = misreport_gain_bound(scenario, base_rho, num_agents)
+        truthful_shares, bound = counts / num_agents, misreport_gain_bound(scenario, base_rho, num_agents)
+    if opponent_counts is None:
+        truthful_market = solve_weighted(scenario, truthful_shares, scenario.capacities, config)
 
     def payoff(truth_idx: int, report_idx: int) -> float:
         """Per-head payoff of a ``truth_idx`` agent announcing ``report_idx``.
@@ -139,8 +143,8 @@ def incentive_gap(
         frozen or re-solved with the deviator's report counted; the agent is
         charged as a mean-field probe, so it receives the rebate ``beta * C_n``.
         """
-        if num_agents is None:
-            solution = frozen
+        if num_agents is None or (opponent_counts is None and report_idx == truth_idx):
+            solution = truthful_market  # the report leaves the market unchanged
         else:
             if opponent_counts is None:
                 dev = counts.copy()

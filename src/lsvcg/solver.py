@@ -20,7 +20,7 @@ bound on that sensitivity used by the incentive experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -158,6 +158,34 @@ def _influence_matrix(scenario: Scenario, z: np.ndarray) -> np.ndarray:
     return scenario.influence.load(scenario.type_zeta(), z)
 
 
+def _clear_price(demand, capacity, hi: float, tolerance: float, config: SolverConfig) -> tuple[float, int]:
+    """Clearing price of a nonincreasing ``demand`` curve, and the bisection steps taken.
+
+    Zero if ``demand(0)`` fits ``capacity``; otherwise the feasible end of
+    ``[0, hi]`` halved to machine precision or the step budget.  Raises
+    ``SolverError`` if demand there misses by more than ``tolerance * max(capacity, 1)``.
+    """
+    if demand(0.0) <= capacity:
+        return 0.0, 0
+    lo, steps = 0.0, 0
+    for _ in range(config.max_bisection_iters):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        steps += 1
+        if demand(mid) > capacity:
+            lo = mid
+        else:
+            hi = mid
+    residual = abs(demand(hi) - capacity)
+    if residual > tolerance * max(capacity, 1.0):
+        raise SolverError(
+            f"failed to clear: |demand - capacity| = {residual:.3e} "
+            f"at bracket [{lo!r}, {hi!r}] after {steps} bisection steps"
+        )
+    return hi, steps
+
+
 def solve_weighted(
     scenario: Scenario,
     weights,
@@ -193,27 +221,12 @@ def solve_weighted(
             z = _best_response_column(wn, an, bn, price, scenario.z_max)
             return float(weights @ (an * z + bn * z * z))
 
-        if demand(0.0) <= caps[n]:
-            p[n] = 0.0
-            continue
-        lo = 0.0
-        hi = float(np.max(wn / an))  # demand is zero at this price
-        for _ in range(config.max_bisection_iters):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            total_iters += 1
-            if demand(mid) > caps[n]:
-                lo = mid
-            else:
-                hi = mid
-        p[n] = hi  # feasible side of the bracket
-        residual = abs(demand(hi) - caps[n])
-        if residual > config.price_tolerance * max(caps[n], 1.0):
-            raise SolverError(
-                f"market for resource {n} failed to clear: |demand - capacity| = {residual:.3e} "
-                f"after {config.max_bisection_iters} bisection steps"
-            )
+        try:
+            # demand is zero at the top of the bracket
+            p[n], steps = _clear_price(demand, caps[n], float(np.max(wn / an)), config.price_tolerance, config)
+        except SolverError as exc:
+            raise SolverError(f"market for resource {n} {exc}") from None
+        total_iters += steps
 
     z = _response_matrix(scenario, p)
     slack = caps - weights @ _influence_matrix(scenario, z)
@@ -226,16 +239,7 @@ def solve_weighted(
         weights=weights,
         capacities=caps,
     )
-    residual = kkt_residual(solution, scenario, weights)
-    return PrimalDualSolution(
-        z=z,
-        p=p,
-        kkt_residual=residual,
-        constraint_slack=slack,
-        iterations=total_iters,
-        weights=weights,
-        capacities=caps,
-    )
+    return replace(solution, kkt_residual=kkt_residual(solution, scenario, weights))
 
 
 def solve_population(scenario: Scenario, rho: Population | None = None, config: SolverConfig = DEFAULT_CONFIG) -> PrimalDualSolution:

@@ -221,6 +221,16 @@ def test_dynamic_subcommand(dynamic_file, tmp_path):
     assert meta["horizon"] == 20
 
 
+def test_dynamic_allocation_kernel(tmp_path):
+    dyn = dynamic_benchmark(kernel="allocation", discount=0.5, num_bins=4)
+    path = tmp_path / "dyn.json"
+    path.write_bytes(save_dynamic_scenario(dyn))
+    out = tmp_path / "run"
+    assert _run("dynamic", "--scenario", str(path), "--out", str(out)) == 0
+    rows = [l for l in (out / "slots.csv").read_text().strip().splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == dyn.horizon
+
+
 def test_dynamic_identity_kernel_constant_shares(tmp_path):
     path = tmp_path / "dyn.json"
     path.write_bytes(save_dynamic_scenario(dynamic_benchmark(kernel="identity", discount=0.5)))

@@ -18,6 +18,7 @@ from lsvcg.dynamic import (
 from lsvcg.generate import dynamic_benchmark, random_dynamic_scenario, rng_for
 from lsvcg.mechanisms import large_scale_vcg
 from lsvcg.model import ValidationError
+from lsvcg.solver import SolverConfig, SolverError
 
 
 def test_kernel_validation():
@@ -208,6 +209,61 @@ def test_identity_kernel_keeps_bound_constant():
     rows = dynamic_incentive_gap(dyn, policy, 20)
     bounds = {row.bound for row in rows}
     assert len(bounds) == 1
+
+
+def test_allocation_dependent_slot_clears_and_charges():
+    dyn = dynamic_benchmark(kernel="allocation", discount=0.5, num_bins=4)
+    policy = plan_policy(dyn, "myopic")
+    cap = float(dyn.static.capacities[0])
+    for t in range(dyn.horizon):
+        rho_t = policy.rho_path[t]
+        slot = dynamic_mechanism_step(rho_t, dyn, policy, MeanFieldState(rho=rho_t, t=t))
+        load = float(rho_t @ slot.z[:, 0])
+        assert abs(load - cap) <= 1e-6 * max(cap, 1.0) or (slot.p[0] == 0.0 and load <= cap)
+        assert np.array_equal(slot.payments, slot.z @ slot.p)
+    assert all(row.holds for row in dynamic_incentive_gap(dyn, policy, 10))
+
+
+def test_binned_slot_failure_reports_its_bracket():
+    dyn = dynamic_benchmark(kernel="allocation", discount=0.5, num_bins=4)
+    policy = plan_policy(dyn, "myopic")
+    state = MeanFieldState(rho=dyn.rho0, t=0)
+    with pytest.raises(SolverError, match="demand - capacity") as exc:
+        dynamic_mechanism_step(dyn.rho0, dyn, policy, state, SolverConfig(max_bisection_iters=3))
+    assert "bracket" in str(exc.value) and "3 bisection steps" in str(exc.value)
+
+
+@pytest.mark.parametrize("kernel", ["mixing", "allocation"])
+@pytest.mark.parametrize("num_agents", [None, 10])
+def test_incentive_rows_carry_the_truthful_slot(kernel, num_agents):
+    dyn = dynamic_benchmark(kernel=kernel, discount=0.5, num_bins=4)
+    policy = plan_policy(dyn, "myopic")
+    for t, row in enumerate(dynamic_incentive_gap(dyn, policy, num_agents)):
+        fresh = dynamic_mechanism_step(policy.rho_path[t], dyn, policy, MeanFieldState(rho=policy.rho_path[t], t=t))
+        assert row.slot.t == fresh.t == t
+        for name in ("z", "p", "payments", "payoffs"):
+            assert np.array_equal(getattr(row.slot, name), getattr(fresh, name))
+
+
+@pytest.mark.parametrize("num_agents", [None, 10])
+def test_truthful_slot_is_priced_once(num_agents, monkeypatch):
+    # finite: one truthful slot plus one per (type, misreport); frozen: one
+    import lsvcg.dynamic
+
+    dyn = dynamic_benchmark(kernel="allocation", discount=0.5, num_bins=4)
+    policy = plan_policy(dyn, "myopic")
+    step = lsvcg.dynamic.dynamic_mechanism_step
+    slots = []
+
+    def counted(reports, dyn, policy, state, *args, **kwargs):
+        slots.append(state.t)
+        return step(reports, dyn, policy, state, *args, **kwargs)
+
+    monkeypatch.setattr(lsvcg.dynamic, "dynamic_mechanism_step", counted)
+    dynamic_incentive_gap(dyn, policy, num_agents)
+    num_types = dyn.num_types
+    per_slot = 1 if num_agents is None else 1 + num_types * (num_types - 1)
+    assert slots == [t for t in range(dyn.horizon) for _ in range(per_slot)]
 
 
 def test_rebate_switch_lowers_payments():

@@ -167,6 +167,39 @@ def test_gaps_hold_against_sampled_opponent_profiles(bench_incentive):
         assert report.max_gap <= bound * (1 + 1e-6)
 
 
+def test_opponents_need_a_finite_population(bench_incentive):
+    opponents = bench_incentive.population.counts()
+    with pytest.raises(ValidationError, match="opponent_counts"):
+        incentive_gap(bench_incentive, bench_incentive.population, None, opponent_counts=opponents)
+
+
+def test_truthful_market_is_solved_once(bench_incentive, monkeypatch):
+    # against truthful opponents only the R(R-1) misreports move the market;
+    # fixed opponents make every (truth, report) pair a market of its own
+    import lsvcg.incentives
+
+    solve_weighted = lsvcg.incentives.solve_weighted
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_weighted(*args, **kwargs)
+
+    monkeypatch.setattr(lsvcg.incentives, "solve_weighted", counted)
+    rho = bench_incentive.population
+    num_types = bench_incentive.type_space.num_types
+    opponents = rho.counts().copy()
+    opponents[0] -= 1
+    for num_agents, opponent_counts, expected in [
+        (None, None, 1),
+        (10, None, 1 + num_types * (num_types - 1)),
+        (10, opponents, num_types**2),
+    ]:
+        calls.clear()
+        incentive_gap(bench_incentive, rho, num_agents, opponent_counts=opponent_counts)
+        assert len(calls) == expected
+
+
 def test_generic_types_lose_incentive_entirely(rng):
     # with distinct utility types and a single influence class, every
     # misreport is strictly worse in the large-population limit, so measured

@@ -174,8 +174,9 @@ def test_aggregate_demand_monotone_in_price(seed):
 
 def test_nonconvergence_raises_with_residual_report(bench_gap):
     # clearing price 0.65 is not reachable in three halvings of [0, 1.6]
-    with pytest.raises(SolverError, match="demand - capacity"):
+    with pytest.raises(SolverError, match="demand - capacity") as exc:
         solve_population(bench_gap, config=SolverConfig(max_bisection_iters=3))
+    assert "bracket" in str(exc.value) and "3 bisection steps" in str(exc.value)
 
 
 # -- KKT residual --------------------------------------------------------------
