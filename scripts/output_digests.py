@@ -3,7 +3,7 @@
 
 Runs every subcommand on every scenario document given (default:
 ``scenarios/*.json``), ``dynamic`` in both modes, and ``dynamic`` on the
-``mixing`` and ``allocation`` presets at discounts 0.5 and 0.9.  Each run
+``mixing``, ``allocation`` and ``switching`` presets at discounts 0.5 and 0.9.  Each run
 writes to a fresh temporary directory.  Prints one ``sha256  run/file`` line
 per output file and one ``exit N  run`` line per run, where ``run`` is
 ``subcommand/scenario``.  Lines that name the scenario's path (its header
@@ -35,7 +35,7 @@ from lsvcg.generate import dynamic_benchmark
 ROOT = Path(__file__).resolve().parent.parent
 STATIC_SUBCOMMANDS = ("solve", "vcg", "lsvcg", "incentive-sweep", "sensitivity", "superimpose")
 DYNAMIC_MODES = ("myopic", "oracle")
-PRESETS = [("mixing", 0.5), ("mixing", 0.9), ("allocation", 0.5), ("allocation", 0.9)]
+PRESETS = [(kernel, discount) for kernel in ("mixing", "allocation", "switching") for discount in (0.5, 0.9)]
 
 
 def digest(path: Path, scenario: str) -> str:

@@ -20,13 +20,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from .incentives import gain_within_bound, misreport_gain_bound
-from .model import Scenario, ValidationError, scenario_from_dict, scenario_to_dict
+from .model import (
+    Scenario,
+    ValidationError,
+    _frozen_array,
+    _read_document,
+    _require,
+    scenario_from_dict,
+    scenario_to_dict,
+    utility_value,
+)
 from .solver import DEFAULT_CONFIG, SolverConfig, SolverError, _clear_price, solve_weighted
 
 __all__ = [
@@ -62,8 +71,8 @@ class TransitionKernel:
     bin_edges: np.ndarray  # (B + 1,)
 
     def __post_init__(self):
-        q = np.array(self.probabilities, dtype=float)
-        edges = np.array(self.bin_edges, dtype=float)
+        q = _frozen_array(self.probabilities)
+        edges = _frozen_array(self.bin_edges)
         if q.ndim != 3 or q.shape[0] != q.shape[1]:
             raise ValidationError("kernel.probabilities must have shape (T, T, num_bins)")
         if edges.ndim != 1 or edges.size != q.shape[2] + 1 or np.any(np.diff(edges) <= 0):
@@ -73,8 +82,6 @@ class TransitionKernel:
         col_sums = q.sum(axis=0)
         if np.any(np.abs(col_sums - 1.0) > 1e-12):
             raise ValidationError("kernel.probabilities must sum to 1 over theta_next for every (theta, bin)")
-        q.setflags(write=False)
-        edges.setflags(write=False)
         object.__setattr__(self, "probabilities", q)
         object.__setattr__(self, "bin_edges", edges)
 
@@ -113,10 +120,9 @@ class MeanFieldState:
     t: int
 
     def __post_init__(self):
-        rho = np.array(self.rho, dtype=float)
+        rho = _frozen_array(self.rho)
         if rho.ndim != 1 or np.any(rho < -1e-15) or abs(float(rho.sum()) - 1.0) > 1e-12:
             raise ValidationError("state distribution must be a simplex vector")
-        rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
         if self.t < 0:
             raise ValidationError("slot index must be nonnegative")
@@ -144,28 +150,21 @@ class DynamicScenario:
             raise ValidationError("kernel type count must match the static type space")
         if not (0.0 < self.discount < 1.0):
             raise ValidationError("discount must lie strictly inside (0, 1)")
-        if self.horizon < 1:
+        if not isinstance(self.horizon, (int, np.integer)) or self.horizon < 1:
             raise ValidationError("horizon must be a positive integer")
         if self.discount**self.horizon > self.truncation_tol:
             raise ValidationError(
                 f"horizon too short: discount**horizon = {self.discount**self.horizon:.3e} "
                 f"exceeds the truncation tolerance {self.truncation_tol:.1e}"
             )
-        rho0 = np.array(self.rho0, dtype=float)
+        rho0 = _frozen_array(self.rho0)
         if rho0.shape != (s.type_space.num_theta,) or np.any(rho0 < 0) or abs(float(rho0.sum()) - 1.0) > 1e-12:
             raise ValidationError("rho0 must be a simplex vector over the utility types")
-        rho0.setflags(write=False)
         object.__setattr__(self, "rho0", rho0)
 
     @property
     def num_types(self) -> int:
         return self.static.type_space.num_theta
-
-    def slot_utility(self, theta: int, z) -> float:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        if np.any(z < 0):
-            raise ValidationError("allocation components must be nonnegative")
-        return float(np.dot(self.static.utility.weights[theta], np.log1p(z)))
 
 
 @dataclass(frozen=True)
@@ -174,6 +173,10 @@ class Policy:
 
     ``value_table[t, theta]`` is the discounted value of holding ``theta`` at
     slot ``t`` and following the plan thereafter (zero at the horizon).
+    ``continuation[t, theta, k]`` is ``discount * E[value_table[t + 1, theta'] |
+    theta, bin k]``: what an agent of type ``theta`` expects after landing in
+    allocation bin ``k`` at slot ``t``.  It is the one continuation the
+    backup, the slot pricing and the payoffs all read.
     """
 
     mode: str
@@ -181,13 +184,12 @@ class Policy:
     prices: np.ndarray  # (H, N); zeros where the plan was not market-cleared
     rho_path: np.ndarray  # (H + 1, T)
     value_table: np.ndarray  # (H + 1, T)
+    continuation: np.ndarray  # (H, T, B)
     welfare: float
 
     def __post_init__(self):
-        for name in ("allocations", "prices", "rho_path", "value_table"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name in ("allocations", "prices", "rho_path", "value_table", "continuation"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -202,9 +204,7 @@ class SlotOutcome:
 
     def __post_init__(self):
         for name in ("z", "p", "payments", "payoffs"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -257,37 +257,37 @@ def mean_field_step_monte_carlo(
     return next_counts / num_samples
 
 
-def _myopic_plan(dyn: DynamicScenario, config: SolverConfig):
-    """Slot-by-slot static solves along the mean-field trajectory."""
-    num_types = dyn.num_types
+def _rollout(dyn: DynamicScenario, allocate):
+    """Follow the mean-field flow from ``rho0``, allocating each slot by
+    ``allocate(rho) -> (z (T, N), p (N,))``."""
     num_res = dyn.static.type_space.num_resources
-    allocations = np.empty((dyn.horizon, num_types, num_res))
+    allocations = np.empty((dyn.horizon, dyn.num_types, num_res))
     prices = np.empty((dyn.horizon, num_res))
-    rho_path = np.empty((dyn.horizon + 1, num_types))
+    rho_path = np.empty((dyn.horizon + 1, dyn.num_types))
     state = MeanFieldState(rho=dyn.rho0, t=0)
     rho_path[0] = state.rho
     for t in range(dyn.horizon):
-        solution = solve_weighted(dyn.static, state.rho, dyn.static.capacities, config)
-        allocations[t] = solution.z
-        prices[t] = solution.p
-        state = mean_field_step(state, solution.z, dyn.kernel)
+        allocations[t], prices[t] = allocate(state.rho)
+        state = mean_field_step(state, allocations[t], dyn.kernel)
         rho_path[t + 1] = state.rho
     return allocations, prices, rho_path
 
 
-def _value_table(dyn: DynamicScenario, allocations: np.ndarray) -> np.ndarray:
-    """Back up per-type discounted values of following a plan."""
+def _value_table(dyn: DynamicScenario, allocations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Back up per-type discounted values of following a plan, with the
+    continuation of every (slot, type, bin) (see :class:`Policy`)."""
     horizon, num_types = allocations.shape[0], dyn.num_types
-    table = np.zeros((horizon + 1, num_types))
+    kernel = dyn.kernel
+    types = np.arange(num_types)
+    q = kernel.probabilities.reshape(num_types, num_types * kernel.num_bins)
     w = dyn.static.utility.weights
+    table = np.zeros((horizon + 1, num_types))
+    continuation = np.empty((horizon, num_types, kernel.num_bins))
     for t in range(horizon - 1, -1, -1):
-        bins = dyn.kernel.bin_of(allocations[t][:, 0])
+        continuation[t] = dyn.discount * (table[t + 1] @ q).reshape(num_types, kernel.num_bins)
         inst = np.sum(w * np.log1p(allocations[t]), axis=1)
-        cont = np.array(
-            [dyn.kernel.probabilities[:, theta, bins[theta]] @ table[t + 1] for theta in range(num_types)]
-        )
-        table[t] = inst + dyn.discount * cont
-    return table
+        table[t] = inst + continuation[t, types, kernel.bin_of(allocations[t][:, 0])]
+    return table, continuation
 
 
 def plan_welfare(dyn: DynamicScenario, allocations: np.ndarray, rho_path: np.ndarray) -> float:
@@ -300,49 +300,13 @@ def plan_welfare(dyn: DynamicScenario, allocations: np.ndarray, rho_path: np.nda
     return total
 
 
-def _rollout_path(dyn: DynamicScenario, allocations: np.ndarray) -> np.ndarray:
-    state = MeanFieldState(rho=dyn.rho0, t=0)
-    path = np.empty((allocations.shape[0] + 1, dyn.num_types))
-    path[0] = state.rho
-    for t in range(allocations.shape[0]):
-        state = mean_field_step(state, allocations[t], dyn.kernel)
-        path[t + 1] = state.rho
-    return path
-
-
 ORACLE_MAX_TYPES = 3
 ORACLE_MIN_GRID = 50
 
 
-def plan_policy(
-    dyn: DynamicScenario,
-    mode: Literal["myopic", "lookahead-oracle"] = "myopic",
-    config: SolverConfig = DEFAULT_CONFIG,
-    grid_levels: int = ORACLE_MIN_GRID,
-) -> Policy:
-    """Build an open-loop plan.
-
-    ``myopic`` solves the static program slot by slot (optimal whenever the
-    kernel is allocation-independent, since the flow is then beyond the
-    planner's control).  ``lookahead-oracle`` is the verification planner for
-    small instances (at most three types, one resource): it rolls out every
-    constant per-type allocation from a grid of at least fifty levels plus
-    the myopic plan itself, and keeps the best discounted welfare, so it can
-    never fall below the myopic plan.
-    """
-    myopic_alloc, myopic_prices, myopic_path = _myopic_plan(dyn, config)
-    myopic_welf = plan_welfare(dyn, myopic_alloc, myopic_path)
-    if mode == "myopic":
-        return Policy(
-            mode="myopic",
-            allocations=myopic_alloc,
-            prices=myopic_prices,
-            rho_path=myopic_path,
-            value_table=_value_table(dyn, myopic_alloc),
-            welfare=myopic_welf,
-        )
-    if mode != "lookahead-oracle":
-        raise ValidationError(f"unknown planning mode {mode!r}")
+def _best_constant_plan(dyn: DynamicScenario, grid_levels: int) -> tuple[np.ndarray, float]:
+    """The feasible constant per-type allocation of best discounted welfare
+    on a grid of ``grid_levels`` levels per type, with that welfare."""
     num_types = dyn.num_types
     if num_types > ORACLE_MAX_TYPES or dyn.static.type_space.num_resources != 1:
         raise ValidationError(
@@ -375,48 +339,65 @@ def plan_policy(
         welfare += np.where(alive, dyn.discount**t * np.sum(rho * inst_by_type, axis=1), 0.0)
         rho = np.einsum("mt,mtu->mu", rho, q_cand)
     welfare = np.where(alive, welfare, -np.inf)
-
     best = int(np.argmax(welfare))
-    if welfare[best] > myopic_welf:
-        alloc = np.tile(candidates[best][None, :, None], (dyn.horizon, 1, 1))
-        path = _rollout_path(dyn, alloc)
-        return Policy(
-            mode="lookahead-oracle",
-            allocations=alloc,
-            prices=np.zeros((dyn.horizon, 1)),
-            rho_path=path,
-            value_table=_value_table(dyn, alloc),
-            welfare=float(welfare[best]),
-        )
+    return candidates[best], float(welfare[best])
+
+
+def plan_policy(
+    dyn: DynamicScenario,
+    mode: Literal["myopic", "lookahead-oracle"] = "myopic",
+    config: SolverConfig = DEFAULT_CONFIG,
+    grid_levels: int = ORACLE_MIN_GRID,
+) -> Policy:
+    """Build an open-loop plan.
+
+    ``myopic`` solves the static program slot by slot (optimal whenever the
+    kernel is allocation-independent, since the flow is then beyond the
+    planner's control).  ``lookahead-oracle`` is the verification planner for
+    small instances (at most three types, one resource): it rolls out every
+    constant per-type allocation from a grid of at least fifty levels plus
+    the myopic plan itself, and keeps the best discounted welfare, so it can
+    never fall below the myopic plan.
+    """
+    if mode not in ("myopic", "lookahead-oracle"):
+        raise ValidationError(f"unknown planning mode {mode!r}")
+    if mode == "lookahead-oracle":
+        constant, constant_welfare = _best_constant_plan(dyn, grid_levels)
+
+    def myopic_slot(rho):
+        solution = solve_weighted(dyn.static, rho, dyn.static.capacities, config)
+        return solution.z, solution.p
+
+    allocations, prices, rho_path = _rollout(dyn, myopic_slot)
+    welfare = plan_welfare(dyn, allocations, rho_path)
+    if mode == "lookahead-oracle" and constant_welfare > welfare:
+        allocations, prices, rho_path = _rollout(dyn, lambda rho: (constant[:, None], 0.0))
+        welfare = constant_welfare
+    value_table, continuation = _value_table(dyn, allocations)
     return Policy(
-        mode="lookahead-oracle",
-        allocations=myopic_alloc,
-        prices=myopic_prices,
-        rho_path=myopic_path,
-        value_table=_value_table(dyn, myopic_alloc),
-        welfare=myopic_welf,
+        mode=mode,
+        allocations=allocations,
+        prices=prices,
+        rho_path=rho_path,
+        value_table=value_table,
+        continuation=continuation,
+        welfare=welfare,
     )
 
 
-def value_u_sigma(
-    dyn: DynamicScenario,
-    policy: Policy,
-    theta: int,
-    z,
-    state: MeanFieldState,
-) -> float:
-    """Instantaneous utility of ``z`` plus the discounted policy continuation.
+def value_u_sigma(dyn: DynamicScenario, policy: Policy, theta: int, z, t: int) -> float:
+    """Instantaneous utility of ``z`` at slot ``t`` plus the discounted policy continuation.
 
     The continuation rolls the agent's own type forward under the kernel
     (exact propagation over the finite type set) while the population follows
-    the policy's mean-field path; it is evaluated from the policy's value
-    table, frozen at planning time.
+    the policy's mean-field path; it is read from ``policy.continuation``,
+    frozen at planning time, at the bin of ``z``.
     """
-    if state.t >= policy.allocations.shape[0]:
+    if t >= policy.allocations.shape[0]:
         raise ValidationError("slot index beyond the planned horizon")
-    bins = dyn.kernel.bin_of(np.atleast_1d(np.asarray(z, dtype=float))[:1])
-    cont = float(dyn.kernel.probabilities[:, theta, bins[0]] @ policy.value_table[state.t + 1])
-    return dyn.slot_utility(theta, z) + dyn.discount * cont
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    bin_of_z = dyn.kernel.bin_of(z[:1])[0]
+    return utility_value(dyn.static.utility, theta, z) + float(policy.continuation[t, theta, bin_of_z])
 
 
 def _binned_best_response(dyn, cont_row, w: float, price: float) -> float:
@@ -447,11 +428,11 @@ def dynamic_mechanism_step(
     reports: np.ndarray,
     dyn: DynamicScenario,
     policy: Policy,
-    state: MeanFieldState,
+    t: int,
     config: SolverConfig = DEFAULT_CONFIG,
     include_rebate: bool = False,
 ) -> SlotOutcome:
-    """Price one slot against reported shares and charge ``p . z`` per type.
+    """Price slot ``t`` against reported shares and charge ``p . z`` per type.
 
     ``reports`` is the reported type distribution for the slot.  Each type's
     objective is its instantaneous utility plus the frozen policy
@@ -464,7 +445,7 @@ def dynamic_mechanism_step(
     if reports.shape != (num_types,) or np.any(reports < -1e-12) or abs(float(reports.sum()) - 1.0) > 1e-9:
         raise ValidationError("reports must be a distribution over the utility types")
     reports = np.maximum(reports, 0.0)
-    if state.t >= policy.allocations.shape[0]:
+    if t >= policy.allocations.shape[0]:
         raise ValidationError("slot index beyond the planned horizon")
 
     caps = dyn.static.capacities
@@ -476,9 +457,8 @@ def dynamic_mechanism_step(
             raise ValidationError("allocation-dependent kernels are supported for a single resource only")
         cap = float(caps[0])
         w = [float(x) for x in dyn.static.utility.weights[:, 0]]
-        next_values = policy.value_table[state.t + 1]
-        # The continuation rows do not depend on the price: one per type per slot.
-        cont_rows = [dyn.discount * (next_values @ dyn.kernel.probabilities[:, theta, :]) for theta in range(num_types)]
+        cont_rows = policy.continuation[t]
+        next_values = policy.value_table[t + 1]
         cont_span = float(np.max(next_values) - np.min(next_values))
         first_edge = float(dyn.kernel.bin_edges[1]) if dyn.kernel.num_bins > 1 else 1.0
         p_hi = max(w) + dyn.discount * cont_span / max(first_edge, 1e-9) + 1.0
@@ -492,7 +472,7 @@ def dynamic_mechanism_step(
         try:
             price, _ = _clear_price(demand, cap, p_hi, 1e-6, config)
         except SolverError as exc:
-            raise SolverError(f"slot {state.t} market {exc}") from None
+            raise SolverError(f"slot {t} market {exc}") from None
         z = np.array([[z_theta] for z_theta in responses(price)])
         p = np.array([price])
 
@@ -500,9 +480,9 @@ def dynamic_mechanism_step(
     if include_rebate:
         payments = payments - dyn.static.beta * float(caps @ p)
     payoffs = np.array(
-        [value_u_sigma(dyn, policy, theta, z[theta], state) - payments[theta] for theta in range(num_types)]
+        [value_u_sigma(dyn, policy, theta, z[theta], t) - payments[theta] for theta in range(num_types)]
     )
-    return SlotOutcome(t=state.t, z=z, p=p, payments=payments, payoffs=payoffs)
+    return SlotOutcome(t=t, z=z, p=p, payments=payments, payoffs=payoffs)
 
 
 def dynamic_incentive_gap(
@@ -526,10 +506,9 @@ def dynamic_incentive_gap(
     rows: list[DynamicIncentiveRow] = []
     for t in range(dyn.horizon):
         rho_t = policy.rho_path[t]
-        state = MeanFieldState(rho=rho_t, t=t)
         if num_agents is not None and np.any(rho_t <= 0):
             raise ValidationError(f"bound undefined: a type share hits zero at slot {t}")
-        truthful_slot = dynamic_mechanism_step(rho_t, dyn, policy, state, config)
+        truthful_slot = dynamic_mechanism_step(rho_t, dyn, policy, t, config)
 
         def payoff(theta: int, report: int) -> float:
             if num_agents is None or report == theta:
@@ -540,8 +519,8 @@ def dynamic_incentive_gap(
                 shares[report] += 1.0 / num_agents
                 if shares[theta] < -1e-12:
                     return -math.inf  # fewer than one agent of this type at this slot
-                slot = dynamic_mechanism_step(np.maximum(shares, 0.0), dyn, policy, state, config)
-            return value_u_sigma(dyn, policy, theta, slot.z[report], state) - float(slot.z[report] @ slot.p)
+                slot = dynamic_mechanism_step(np.maximum(shares, 0.0), dyn, policy, t, config)
+            return value_u_sigma(dyn, policy, theta, slot.z[report], t) - float(slot.payments[report])
 
         per_type: dict[int, float] = {}
         for theta in range(num_types):
@@ -585,33 +564,21 @@ def save_dynamic_scenario(dyn: DynamicScenario) -> bytes:
     return json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")
 
 
+_DYNAMIC_FIELDS = ("kernel", "discount", "horizon", "rho0", "truncation_tol")
+
+
 def load_dynamic_scenario(source: bytes | str) -> DynamicScenario:
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"dynamic scenario document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("dynamic scenario document must be a JSON object")
-    for key in ("kernel", "discount", "horizon", "rho0"):
-        if key not in doc:
-            raise ValidationError(f"dynamic scenario document is missing field {key!r}")
-    static = scenario_from_dict({k: v for k, v in doc.items() if k not in
-                                 ("kernel", "discount", "horizon", "rho0", "truncation_tol")})
-    kernel_doc = doc["kernel"]
-    if "probabilities" not in kernel_doc or "bin_edges" not in kernel_doc:
-        raise ValidationError("dynamic scenario document is missing field 'kernel.probabilities' or 'kernel.bin_edges'")
+    doc = _read_document(source, "dynamic scenario")
     try:
         return DynamicScenario(
-            static=static,
+            static=scenario_from_dict({k: v for k, v in doc.items() if k not in _DYNAMIC_FIELDS}),
             kernel=TransitionKernel(
-                probabilities=kernel_doc["probabilities"],
-                bin_edges=kernel_doc["bin_edges"],
+                probabilities=_require(doc, "kernel.probabilities"),
+                bin_edges=_require(doc, "kernel.bin_edges"),
             ),
-            discount=doc["discount"],
-            horizon=doc["horizon"],
-            rho0=doc["rho0"],
+            discount=_require(doc, "discount"),
+            horizon=_require(doc, "horizon"),
+            rho0=_require(doc, "rho0"),
             truncation_tol=doc.get("truncation_tol", 1e-6),
         )
     except ValidationError:

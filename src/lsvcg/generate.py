@@ -210,8 +210,13 @@ def dynamic_benchmark(
 
     ``kernel`` picks the transition structure: ``identity`` (distribution
     frozen), ``mixing`` (allocation-independent contraction toward a fixed
-    point), or ``allocation`` (higher allocations raise the odds of keeping
-    the high-value type; requires ``num_bins > 1``).
+    point), ``allocation`` (higher allocations raise the odds of keeping
+    the high-value type; requires ``num_bins > 1``), or ``switching`` (two
+    bins split at 0.8: below it both types turn low-value with odds 0.9, at
+    or above it high-value with odds 0.9; ``num_bins`` is ignored).  At the
+    bin counts the tests and benchmarks use, only ``switching`` makes a plan
+    visit more than one bin: ``allocation``'s first bin reaches beyond every
+    cleared allocation.
     """
     static = Scenario(
         type_space=TypeSpace(num_theta=2, num_zeta=1, num_resources=1),
@@ -239,6 +244,11 @@ def dynamic_benchmark(
             probs[:, 0, k_idx] = [1.0 - rise, rise]
             probs[:, 1, k_idx] = [1.0 - keep_high, keep_high]
         k = TransitionKernel(probabilities=probs, bin_edges=edges)
+    elif kernel == "switching":
+        probs = np.empty((2, 2, 2))
+        probs[:, :, 0] = [[0.9], [0.1]]  # every type turns low-value
+        probs[:, :, 1] = [[0.1], [0.9]]  # every type turns high-value
+        k = TransitionKernel(probabilities=probs, bin_edges=[0.0, 0.8, static.z_max])
     else:
         raise ValueError(f"unknown kernel preset {kernel!r}")
     return DynamicScenario(static=static, kernel=k, discount=discount, horizon=horizon, rho0=[0.6, 0.4])

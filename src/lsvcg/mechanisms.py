@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Population, Profile, Scenario, ValidationError, utility_value
+from .model import Population, Profile, Scenario, ValidationError, _frozen_array, utility_value
 from .solver import (
     DEFAULT_CONFIG,
     SolverConfig,
@@ -81,9 +81,7 @@ class Outcome:
 
     def __post_init__(self):
         for name in ("cell_allocations", "cell_payments", "cell_payoffs", "prices", "constraint_slack"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     def _per_agent(self, cell_values: np.ndarray) -> np.ndarray:
         values = cell_values[self.profile.cells.of_agent]

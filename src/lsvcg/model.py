@@ -447,6 +447,9 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+_SCENARIO_FIELDS = ("type_space", "utility", "influence", "population", "capacities", "beta", "z_max")
+
+
 def _require(doc: dict, key: str):
     node = doc
     for part in key.split("."):
@@ -457,6 +460,9 @@ def _require(doc: dict, key: str):
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    unknown = sorted(set(doc) - set(_SCENARIO_FIELDS))
+    if unknown:
+        raise ValidationError(f"scenario document has unknown fields {', '.join(map(repr, unknown))}")
     ts = TypeSpace(
         num_theta=_require(doc, "type_space.num_theta"),
         num_zeta=_require(doc, "type_space.num_zeta"),
@@ -495,14 +501,21 @@ def save_scenario(s: Scenario) -> bytes:
     return json.dumps(scenario_to_dict(s), indent=2, sort_keys=True).encode("utf-8")
 
 
+def _read_document(source: bytes | str, kind: str) -> dict:
+    """Decode ``source`` as UTF-8 and parse it as one JSON object.
+
+    Every failure, including hostile input (undecodable bytes, nesting too
+    deep for the parser), raises :class:`ValidationError` naming ``kind``.
+    """
+    try:
+        doc = json.loads(source.decode("utf-8") if isinstance(source, bytes) else source)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise ValidationError(f"{kind} document is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{kind} document must be a JSON object")
+    return doc
+
+
 def load_scenario(source: bytes | str) -> Scenario:
     """Parse and validate a scenario document produced by :func:`save_scenario`."""
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"scenario document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("scenario document must be a JSON object")
-    return scenario_from_dict(doc)
+    return scenario_from_dict(_read_document(source, "scenario"))

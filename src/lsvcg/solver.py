@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Population, Scenario, ValidationError, empirical_population
+from .model import Population, Scenario, ValidationError, _frozen_array, empirical_population
 
 __all__ = [
     "SolverConfig",
@@ -85,9 +85,7 @@ class PrimalDualSolution:
 
     def __post_init__(self):
         for name in ("z", "p", "constraint_slack", "weights", "capacities"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -97,10 +95,9 @@ class SensitivityResult:
     dp_drho: np.ndarray  # (num_resources, num_types)
 
     def __post_init__(self):
-        arr = np.asarray(self.dp_drho, dtype=float)
+        arr = _frozen_array(self.dp_drho)
         if not np.all(np.isfinite(arr)):
             raise SolverError("sensitivity Jacobian contains non-finite entries")
-        arr.setflags(write=False)
         object.__setattr__(self, "dp_drho", arr)
 
 

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .mechanisms import Outcome, shadow_price_outcome
-from .model import InfluenceParams, Population, Profile, Report, Scenario, ValidationError
+from .model import InfluenceParams, Population, Profile, Report, Scenario, ValidationError, _frozen_array
 from .solver import _response_matrix  # shared closed-form best responses
 
 __all__ = [
@@ -87,9 +87,7 @@ class AlgorithmTrace:
 
     def __post_init__(self):
         for name in ("round_prices", "round_demand", "final_prices", "final_menu", "final_excess"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     @cached_property
     def final_allocations(self) -> np.ndarray:  # (I, N)

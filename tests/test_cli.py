@@ -80,6 +80,34 @@ def test_malformed_scenario_exits_2(tmp_path):
     assert _run("solve", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize("blob", [b'{"a":\xff}', b"[" * 100_000], ids=["non-utf8", "deep-nesting"])
+@pytest.mark.parametrize("subcommand", ["solve", "dynamic"])
+def test_undecodable_document_exits_2(subcommand, blob, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(blob)
+    assert _run(subcommand, "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert "not valid UTF-8 JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "message"), [("kernel", 5, "kernel.probabilities"), ("horizon", 20.0, "horizon")]
+)
+def test_dynamic_document_with_a_malformed_field_exits_2(field, value, message, tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "dynamic.json").read_text())
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert _run("dynamic", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "vcg", "lsvcg", "incentive-sweep", "sensitivity", "superimpose"])
+def test_static_subcommands_reject_a_dynamic_document(subcommand, tmp_path, capsys):
+    doc = SCENARIOS / "dynamic.json"
+    assert _run(subcommand, "--scenario", str(doc), "--out", str(tmp_path / "o")) == 2
+    assert "unknown fields" in capsys.readouterr().err
+
+
 def test_missing_scenario_exits_2(tmp_path):
     assert _run("solve", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")) == 2
 

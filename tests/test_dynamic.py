@@ -17,7 +17,7 @@ from lsvcg.dynamic import (
 )
 from lsvcg.generate import dynamic_benchmark, random_dynamic_scenario, rng_for
 from lsvcg.mechanisms import large_scale_vcg
-from lsvcg.model import ValidationError
+from lsvcg.model import ValidationError, utility_value
 from lsvcg.solver import SolverConfig, SolverError
 
 
@@ -119,12 +119,11 @@ def test_bellman_consistency_along_plan():
 def test_value_of_constant_policy_under_identity_kernel():
     dyn = dynamic_benchmark(kernel="identity", discount=0.5)
     policy = plan_policy(dyn, "myopic")  # distribution frozen -> same menu each slot
-    state = MeanFieldState(rho=dyn.rho0, t=0)
     for theta in range(dyn.num_types):
         z_policy = float(policy.allocations[0, theta, 0])
-        u_inst = dyn.slot_utility(theta, policy.allocations[0, theta])
+        u_inst = utility_value(dyn.static.utility, theta, policy.allocations[0, theta])
         closed = u_inst + dyn.discount / (1.0 - dyn.discount) * u_inst
-        got = value_u_sigma(dyn, policy, theta, policy.allocations[0, theta], state)
+        got = value_u_sigma(dyn, policy, theta, policy.allocations[0, theta], 0)
         truncation = dyn.discount**dyn.horizon / (1 - dyn.discount) * abs(u_inst)
         assert got == pytest.approx(closed, abs=truncation + 1e-9)
 
@@ -132,19 +131,17 @@ def test_value_of_constant_policy_under_identity_kernel():
 def test_value_reduces_to_instant_utility_without_discounting():
     dyn = dynamic_benchmark(kernel="mixing", discount=1e-6)
     policy = plan_policy(dyn, "myopic")
-    state = MeanFieldState(rho=dyn.rho0, t=0)
     z = np.array([0.7])
-    got = value_u_sigma(dyn, policy, 0, z, state)
-    assert got == pytest.approx(dyn.slot_utility(0, z), abs=1e-6)
+    got = value_u_sigma(dyn, policy, 0, z, 0)
+    assert got == pytest.approx(utility_value(dyn.static.utility, 0, z), abs=1e-6)
 
 
 def test_population_value_identity():
     # share-weighted agent values reproduce the plan's discounted welfare
     dyn = dynamic_benchmark(kernel="mixing", discount=0.5)
     policy = plan_policy(dyn, "myopic")
-    state = MeanFieldState(rho=policy.rho_path[0], t=0)
     total = sum(
-        float(policy.rho_path[0, theta]) * value_u_sigma(dyn, policy, theta, policy.allocations[0, theta], state)
+        float(policy.rho_path[0, theta]) * value_u_sigma(dyn, policy, theta, policy.allocations[0, theta], 0)
         for theta in range(dyn.num_types)
     )
     assert total == pytest.approx(policy.welfare, abs=1e-6)
@@ -156,8 +153,7 @@ def test_population_value_identity():
 def test_slot_reduces_to_static_mechanism_for_independent_kernel():
     dyn = dynamic_benchmark(kernel="mixing", discount=0.5)
     policy = plan_policy(dyn, "myopic")
-    state = MeanFieldState(rho=dyn.rho0, t=0)
-    slot = dynamic_mechanism_step(dyn.rho0, dyn, policy, state)
+    slot = dynamic_mechanism_step(dyn.rho0, dyn, policy, 0)
     ts = dyn.static.type_space
     probes = [ts.unflatten(r) for r in range(ts.num_types)]
     from dataclasses import replace
@@ -173,8 +169,7 @@ def test_slot_payments_nonnegative_every_slot():
     dyn = dynamic_benchmark(kernel="mixing", discount=0.5)
     policy = plan_policy(dyn, "myopic")
     for t in range(dyn.horizon):
-        state = MeanFieldState(rho=policy.rho_path[t], t=t)
-        slot = dynamic_mechanism_step(policy.rho_path[t], dyn, policy, state)
+        slot = dynamic_mechanism_step(policy.rho_path[t], dyn, policy, t)
         assert np.all(slot.payments >= 0.0)
 
 
@@ -182,8 +177,7 @@ def test_slot_individual_rationality():
     dyn = dynamic_benchmark(kernel="mixing", discount=0.5)
     policy = plan_policy(dyn, "myopic")
     for t in range(dyn.horizon):
-        state = MeanFieldState(rho=policy.rho_path[t], t=t)
-        slot = dynamic_mechanism_step(policy.rho_path[t], dyn, policy, state)
+        slot = dynamic_mechanism_step(policy.rho_path[t], dyn, policy, t)
         assert np.min(slot.payoffs) >= -1e-9
 
 
@@ -217,7 +211,7 @@ def test_allocation_dependent_slot_clears_and_charges():
     cap = float(dyn.static.capacities[0])
     for t in range(dyn.horizon):
         rho_t = policy.rho_path[t]
-        slot = dynamic_mechanism_step(rho_t, dyn, policy, MeanFieldState(rho=rho_t, t=t))
+        slot = dynamic_mechanism_step(rho_t, dyn, policy, t)
         load = float(rho_t @ slot.z[:, 0])
         assert abs(load - cap) <= 1e-6 * max(cap, 1.0) or (slot.p[0] == 0.0 and load <= cap)
         assert np.array_equal(slot.payments, slot.z @ slot.p)
@@ -227,9 +221,8 @@ def test_allocation_dependent_slot_clears_and_charges():
 def test_binned_slot_failure_reports_its_bracket():
     dyn = dynamic_benchmark(kernel="allocation", discount=0.5, num_bins=4)
     policy = plan_policy(dyn, "myopic")
-    state = MeanFieldState(rho=dyn.rho0, t=0)
     with pytest.raises(SolverError, match="demand - capacity") as exc:
-        dynamic_mechanism_step(dyn.rho0, dyn, policy, state, SolverConfig(max_bisection_iters=3))
+        dynamic_mechanism_step(dyn.rho0, dyn, policy, 0, SolverConfig(max_bisection_iters=3))
     assert "bracket" in str(exc.value) and "3 bisection steps" in str(exc.value)
 
 
@@ -239,7 +232,7 @@ def test_incentive_rows_carry_the_truthful_slot(kernel, num_agents):
     dyn = dynamic_benchmark(kernel=kernel, discount=0.5, num_bins=4)
     policy = plan_policy(dyn, "myopic")
     for t, row in enumerate(dynamic_incentive_gap(dyn, policy, num_agents)):
-        fresh = dynamic_mechanism_step(policy.rho_path[t], dyn, policy, MeanFieldState(rho=policy.rho_path[t], t=t))
+        fresh = dynamic_mechanism_step(policy.rho_path[t], dyn, policy, t)
         assert row.slot.t == fresh.t == t
         for name in ("z", "p", "payments", "payoffs"):
             assert np.array_equal(getattr(row.slot, name), getattr(fresh, name))
@@ -255,9 +248,9 @@ def test_truthful_slot_is_priced_once(num_agents, monkeypatch):
     step = lsvcg.dynamic.dynamic_mechanism_step
     slots = []
 
-    def counted(reports, dyn, policy, state, *args, **kwargs):
-        slots.append(state.t)
-        return step(reports, dyn, policy, state, *args, **kwargs)
+    def counted(reports, dyn, policy, t, *args, **kwargs):
+        slots.append(t)
+        return step(reports, dyn, policy, t, *args, **kwargs)
 
     monkeypatch.setattr(lsvcg.dynamic, "dynamic_mechanism_step", counted)
     dynamic_incentive_gap(dyn, policy, num_agents)
@@ -269,9 +262,8 @@ def test_truthful_slot_is_priced_once(num_agents, monkeypatch):
 def test_rebate_switch_lowers_payments():
     dyn = dynamic_benchmark(kernel="mixing", discount=0.5)
     policy = plan_policy(dyn, "myopic")
-    state = MeanFieldState(rho=dyn.rho0, t=0)
-    plain = dynamic_mechanism_step(dyn.rho0, dyn, policy, state)
-    rebated = dynamic_mechanism_step(dyn.rho0, dyn, policy, state, include_rebate=True)
+    plain = dynamic_mechanism_step(dyn.rho0, dyn, policy, 0)
+    rebated = dynamic_mechanism_step(dyn.rho0, dyn, policy, 0, include_rebate=True)
     rebate = dyn.static.beta * float(dyn.static.capacities @ plain.p)
     assert np.allclose(rebated.payments, plain.payments - rebate, atol=1e-12)
 
@@ -295,3 +287,51 @@ def test_horizon_must_cover_truncation():
             horizon=3,
             rho0=dyn.rho0,
         )
+
+
+# -- plans that move between allocation bins -------------------------------------
+
+
+@pytest.mark.parametrize("discount", [0.5, 0.9])
+def test_switching_oracle_keeps_a_constant_plan_above_myopic(discount):
+    # the myopic plan puts the two types in different bins; the oracle's
+    # constant plan keeps both in the high-value bin and beats it
+    dyn = dynamic_benchmark(kernel="switching", discount=discount)
+    myopic = plan_policy(dyn, "myopic")
+    oracle = plan_policy(dyn, "lookahead-oracle")
+    assert set(dyn.kernel.bin_of(myopic.allocations[:, :, 0].ravel())) == {0, 1}
+    assert oracle.welfare > myopic.welfare
+    assert np.all(oracle.prices == 0.0)
+    assert np.all(oracle.allocations == oracle.allocations[0])
+    for mode in ("myopic", "lookahead-oracle"):
+        policy = plan_policy(dyn, mode)
+        assert all(row.holds for row in dynamic_incentive_gap(dyn, policy, 10))
+        assert all(row.holds for row in dynamic_incentive_gap(dyn, policy, None))
+
+
+@pytest.mark.parametrize("mode", ["myopic", "lookahead-oracle"])
+def test_switching_plan_follows_its_own_flow_and_continuation(mode):
+    dyn = dynamic_benchmark(kernel="switching", discount=0.5)
+    policy = plan_policy(dyn, mode)
+    state = MeanFieldState(rho=dyn.rho0, t=0)
+    types = np.arange(dyn.num_types)
+    w = dyn.static.utility.weights
+    for t in range(dyn.horizon):
+        assert np.array_equal(policy.rho_path[t], state.rho)
+        state = mean_field_step(state, policy.allocations[t], dyn.kernel)
+        bins = dyn.kernel.bin_of(policy.allocations[t][:, 0])
+        inst = np.sum(w * np.log1p(policy.allocations[t]), axis=1)
+        assert np.array_equal(policy.value_table[t], inst + policy.continuation[t, types, bins])
+    assert np.array_equal(policy.rho_path[dyn.horizon], state.rho)
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError, reason="demand jumps where a type's best bin switches")
+def test_binned_slot_clears_when_a_best_bin_switches_at_the_price():
+    # at slot 0, type 0's best allocation drops from 1.0 (bin [1, 1.5)) to
+    # 0.5 (bin [0.5, 1)) as the price crosses about 0.712, so demand jumps
+    # from 1.2 to 0.9 over the capacity 1.0 and no price clears the market
+    dyn = dynamic_benchmark(kernel="allocation", discount=0.5, num_bins=4)
+    kernel = TransitionKernel(probabilities=dyn.kernel.probabilities, bin_edges=[0.0, 0.5, 1.0, 1.5, 40.0])
+    dyn = DynamicScenario(static=dyn.static, kernel=kernel, discount=0.5, horizon=dyn.horizon, rho0=dyn.rho0)
+    policy = plan_policy(dyn, "myopic")
+    dynamic_mechanism_step(policy.rho_path[0], dyn, policy, 0)

@@ -195,6 +195,16 @@ def test_document_missing_field_names_it(bench1):
         load_scenario(json.dumps(doc))
 
 
+def test_document_rejects_unknown_fields_by_name(bench1):
+    import json
+
+    doc = json.loads(save_scenario(bench1))
+    doc["kernel"] = {}
+    doc["horizon"] = 3
+    with pytest.raises(ValidationError, match="unknown fields 'horizon', 'kernel'"):
+        load_scenario(json.dumps(doc))
+
+
 def test_document_rejects_undersized_cap(bench1):
     import json
     from dataclasses import replace
@@ -241,3 +251,22 @@ def test_model_arrays_are_immutable(bench1):
         bench1.utility.weights[0, 0] = 2.0
     with pytest.raises(ValueError):
         bench1.population.shares[0] = 0.5
+
+
+def test_results_leave_the_callers_arrays_writable(bench1):
+    from lsvcg.mechanisms import shadow_price_outcome
+    from lsvcg.model import Profile
+    from lsvcg.solver import solve_weighted
+
+    weights, capacities = np.array([1.0]), np.array(bench1.capacities)
+    solution = solve_weighted(bench1, weights, capacities)
+    prices, slack = np.array(solution.p), np.array(solution.constraint_slack)
+    menu = np.array(solution.z)
+    probe = Profile(bench1.type_space, np.array([0]), np.array([0]))
+    outcome = shadow_price_outcome(probe, bench1, menu, prices, slack, mean_field=True)
+    for arr in (weights, capacities, prices, slack, menu):
+        arr[0] = arr[0]  # raises if a result froze the caller's array
+    with pytest.raises(ValueError):
+        solution.weights[0] = 0.0
+    with pytest.raises(ValueError):
+        outcome.prices[0] = 0.0
