@@ -5,7 +5,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from lsvcg.dynamic import save_dynamic_scenario
-from lsvcg.generate import dynamic_benchmark, incentive_benchmark, payment_gap_benchmark, scale_capacity
+from lsvcg.generate import (
+    dynamic_benchmark,
+    incentive_benchmark,
+    payment_gap_benchmark,
+    random_scenario,
+    rng_for,
+    scale_capacity,
+)
 from lsvcg.model import Population, save_scenario
 
 
@@ -19,7 +26,13 @@ def main() -> None:
     (out / "two_type.json").write_bytes(save_scenario(two_type))
     (out / "incentive.json").write_bytes(save_scenario(incentive_benchmark()))
     (out / "dynamic.json").write_bytes(save_dynamic_scenario(dynamic_benchmark(kernel="mixing", discount=0.5)))
-    for name in ("two_type.json", "incentive.json", "dynamic.json"):
+    # two resources and quadratic influence, with capacities as totals over ten agents
+    quadratic = scale_capacity(
+        random_scenario(rng_for(2026, 1), num_theta=2, num_zeta=2, num_resources=2, num_agents=10, quadratic=True),
+        10,
+    )
+    (out / "quadratic.json").write_bytes(save_scenario(quadratic))
+    for name in ("two_type.json", "incentive.json", "dynamic.json", "quadratic.json"):
         print(f"wrote scenarios/{name}")
 
 

@@ -13,7 +13,6 @@ from .model import (
     InfluenceParams,
     Population,
     Profile,
-    Report,
     Scenario,
     TypeSpace,
     UtilityParams,
@@ -30,7 +29,6 @@ from .solver import (
     DegeneratePointError,
     PrimalDualSolution,
     SensitivityResult,
-    SolverConfig,
     SolverError,
     best_response,
     kkt_residual,

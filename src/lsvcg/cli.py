@@ -30,7 +30,8 @@ from .incentives import gain_within_bound, incentive_gap, sweep_from_reports
 from .mechanisms import Outcome, budget_audit, large_scale_vcg, outcome_cell_rows, vcg_exact
 from .model import Profile, ValidationError, load_scenario
 from .solver import (
-    DEFAULT_CONFIG,
+    MAX_BISECTION_STEPS,
+    PRICE_TOLERANCE,
     DegeneratePointError,
     SolverError,
     price_sensitivity,
@@ -47,7 +48,6 @@ class RunManifest:
     subcommand: str
     scenario_path: str
     seed: int
-    output_dir: str
     overrides: dict = field(default_factory=dict)
 
 
@@ -96,8 +96,8 @@ def _write_meta(out: Path, manifest: RunManifest, extra: dict | None = None) -> 
         "version": __version__,
         "overrides": {k: manifest.overrides[k] for k in sorted(manifest.overrides)},
         "solver": {
-            "price_tolerance": DEFAULT_CONFIG.price_tolerance,
-            "max_bisection_iters": DEFAULT_CONFIG.max_bisection_iters,
+            "price_tolerance": PRICE_TOLERANCE,
+            "max_bisection_iters": MAX_BISECTION_STEPS,
         },
     }
     if extra:
@@ -105,8 +105,17 @@ def _write_meta(out: Path, manifest: RunManifest, extra: dict | None = None) -> 
     (out / "meta.json").write_bytes(json.dumps(record, indent=2, sort_keys=True).encode("utf-8"))
 
 
+def _read_scenario(args) -> bytes:
+    """The bytes of ``--scenario``; a path that cannot be read (missing, a
+    directory, unreadable) is a validation problem."""
+    try:
+        return Path(args.scenario).read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read the scenario: {exc}") from exc
+
+
 def _load_static(args):
-    scenario = load_scenario(Path(args.scenario).read_bytes())
+    scenario = load_scenario(_read_scenario(args))
     if args.beta is not None:
         scenario = replace(scenario, beta=args.beta)
     return scenario
@@ -175,6 +184,8 @@ def _parse_i_list(raw: str) -> list[int]:
         raise ValidationError(f"--i-list must be a comma-separated list of integers: {exc}") from exc
     if not values:
         raise ValidationError("--i-list must contain at least one head count")
+    if min(values) < 1:
+        raise ValidationError(f"--i-list head counts must be positive, got {min(values)}")
     return values
 
 
@@ -186,6 +197,8 @@ def _json_number(value: float) -> float | None:
 def cmd_incentive_sweep(args, manifest: RunManifest, out: Path) -> None:
     scenario = _load_static(args)
     i_list = _parse_i_list(args.i_list)
+    if args.workers is not None and args.workers < 1:
+        raise ValidationError(f"--workers must be positive, got {args.workers}")
     rho = scenario.population
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         sweep = sweep_from_reports(list(pool.map(lambda n: incentive_gap(scenario, rho, n), i_list)))
@@ -253,7 +266,7 @@ def cmd_superimpose(args, manifest: RunManifest, out: Path) -> None:
 
 
 def cmd_dynamic(args, manifest: RunManifest, out: Path) -> None:
-    dyn = load_dynamic_scenario(Path(args.scenario).read_bytes())
+    dyn = load_dynamic_scenario(_read_scenario(args))
     mode = "lookahead-oracle" if args.mode == "oracle" else "myopic"
     policy = plan_policy(dyn, mode=mode)
     num_agents = dyn.static.population.num_agents if dyn.static.population.is_finite else None
@@ -317,15 +330,11 @@ def main(argv=None) -> int:
         subcommand=args.subcommand,
         scenario_path=args.scenario,
         seed=args.seed,
-        output_dir=str(out),
         overrides={} if getattr(args, "beta", None) is None else {"beta": args.beta},
     )
     started = time.perf_counter()
     try:
         _COMMANDS[args.subcommand](args, manifest, out)
-    except FileNotFoundError as exc:
-        print(f"lsvcg: scenario not found: {exc}", file=sys.stderr)
-        return 2
     except ValidationError as exc:
         print(f"lsvcg: validation error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ holding a type under that policy backs up through a finite horizon chosen so
 the tail weight ``delta^H`` is below a truncation tolerance.  The per-slot
 mechanism prices capacity against reported shares, using instantaneous
 utility plus the frozen policy continuation as each type's objective, and
-charges ``p_t . z_t`` (optionally minus a per-capita capacity rebate).
+charges ``p_t . z_t``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .model import (
     scenario_to_dict,
     utility_value,
 )
-from .solver import DEFAULT_CONFIG, SolverConfig, SolverError, _clear_price, solve_weighted
+from .solver import SolverError, _clear_price, solve_weighted
 
 __all__ = [
     "TransitionKernel",
@@ -346,7 +346,6 @@ def _best_constant_plan(dyn: DynamicScenario, grid_levels: int) -> tuple[np.ndar
 def plan_policy(
     dyn: DynamicScenario,
     mode: Literal["myopic", "lookahead-oracle"] = "myopic",
-    config: SolverConfig = DEFAULT_CONFIG,
     grid_levels: int = ORACLE_MIN_GRID,
 ) -> Policy:
     """Build an open-loop plan.
@@ -365,7 +364,7 @@ def plan_policy(
         constant, constant_welfare = _best_constant_plan(dyn, grid_levels)
 
     def myopic_slot(rho):
-        solution = solve_weighted(dyn.static, rho, dyn.static.capacities, config)
+        solution = solve_weighted(dyn.static, rho, dyn.static.capacities)
         return solution.z, solution.p
 
     allocations, prices, rho_path = _rollout(dyn, myopic_slot)
@@ -400,6 +399,11 @@ def value_u_sigma(dyn: DynamicScenario, policy: Policy, theta: int, z, t: int) -
     return utility_value(dyn.static.utility, theta, z) + float(policy.continuation[t, theta, bin_of_z])
 
 
+#: Largest relative clearing miss ``|demand - capacity| / max(capacity, 1)``
+#: a binned slot may leave.
+BINNED_PRICE_TOLERANCE = 1e-6
+
+
 def _binned_best_response(dyn, cont_row, w: float, price: float) -> float:
     """Maximize ``w log(1 + z) + cont_row[bin(z)] - price*z`` over z in the bin range.
 
@@ -424,21 +428,13 @@ def _binned_best_response(dyn, cont_row, w: float, price: float) -> float:
     return best_z
 
 
-def dynamic_mechanism_step(
-    reports: np.ndarray,
-    dyn: DynamicScenario,
-    policy: Policy,
-    t: int,
-    config: SolverConfig = DEFAULT_CONFIG,
-    include_rebate: bool = False,
-) -> SlotOutcome:
+def dynamic_mechanism_step(reports: np.ndarray, dyn: DynamicScenario, policy: Policy, t: int) -> SlotOutcome:
     """Price slot ``t`` against reported shares and charge ``p . z`` per type.
 
     ``reports`` is the reported type distribution for the slot.  Each type's
     objective is its instantaneous utility plus the frozen policy
     continuation; with an allocation-independent kernel this reduces exactly
-    to the static program.  ``include_rebate`` subtracts the per-capita
-    ``beta * C_n`` from every payment for budget-comparison experiments.
+    to the static program.
     """
     reports = np.asarray(reports, dtype=float)
     num_types = dyn.num_types
@@ -450,7 +446,7 @@ def dynamic_mechanism_step(
 
     caps = dyn.static.capacities
     if dyn.kernel.allocation_independent:
-        solution = solve_weighted(dyn.static, reports, caps, config)
+        solution = solve_weighted(dyn.static, reports, caps)
         z, p = solution.z, solution.p
     else:
         if dyn.static.type_space.num_resources != 1:
@@ -470,15 +466,13 @@ def dynamic_mechanism_step(
             return float(sum(reports[theta] * z for theta, z in enumerate(responses(price))))
 
         try:
-            price, _ = _clear_price(demand, cap, p_hi, 1e-6, config)
+            price, _ = _clear_price(demand, cap, p_hi, BINNED_PRICE_TOLERANCE)
         except SolverError as exc:
             raise SolverError(f"slot {t} market {exc}") from None
         z = np.array([[z_theta] for z_theta in responses(price)])
         p = np.array([price])
 
     payments = z @ p
-    if include_rebate:
-        payments = payments - dyn.static.beta * float(caps @ p)
     payoffs = np.array(
         [value_u_sigma(dyn, policy, theta, z[theta], t) - payments[theta] for theta in range(num_types)]
     )
@@ -489,7 +483,6 @@ def dynamic_incentive_gap(
     dyn: DynamicScenario,
     policy: Policy,
     num_agents: int | None,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> list[DynamicIncentiveRow]:
     """Per-slot best per-head misreport gains along the truthful trajectory.
 
@@ -508,7 +501,7 @@ def dynamic_incentive_gap(
         rho_t = policy.rho_path[t]
         if num_agents is not None and np.any(rho_t <= 0):
             raise ValidationError(f"bound undefined: a type share hits zero at slot {t}")
-        truthful_slot = dynamic_mechanism_step(rho_t, dyn, policy, t, config)
+        truthful_slot = dynamic_mechanism_step(rho_t, dyn, policy, t)
 
         def payoff(theta: int, report: int) -> float:
             if num_agents is None or report == theta:
@@ -519,7 +512,7 @@ def dynamic_incentive_gap(
                 shares[report] += 1.0 / num_agents
                 if shares[theta] < -1e-12:
                     return -math.inf  # fewer than one agent of this type at this slot
-                slot = dynamic_mechanism_step(np.maximum(shares, 0.0), dyn, policy, t, config)
+                slot = dynamic_mechanism_step(np.maximum(shares, 0.0), dyn, policy, t)
             return value_u_sigma(dyn, policy, theta, slot.z[report], t) - float(slot.payments[report])
 
         per_type: dict[int, float] = {}

@@ -32,7 +32,7 @@ import numpy as np
 
 from .mechanisms import shadow_price_outcome
 from .model import Population, Profile, Scenario, ValidationError
-from .solver import DEFAULT_CONFIG, SolverConfig, solve_weighted
+from .solver import solve_weighted
 
 __all__ = [
     "IncentiveReport",
@@ -100,7 +100,6 @@ def incentive_gap(
     scenario: Scenario,
     base_rho: Population,
     num_agents: int | None,
-    config: SolverConfig = DEFAULT_CONFIG,
     opponent_counts: np.ndarray | None = None,
 ) -> IncentiveReport:
     """Best per-head deviation gain per true type against otherwise-truthful reports.
@@ -134,7 +133,7 @@ def incentive_gap(
                 raise ValidationError("opponent_counts must sum to num_agents - 1")
         truthful_shares, bound = counts / num_agents, misreport_gain_bound(scenario, base_rho, num_agents)
     if opponent_counts is None:
-        truthful_market = solve_weighted(scenario, truthful_shares, scenario.capacities, config)
+        truthful_market = solve_weighted(scenario, truthful_shares, scenario.capacities)
 
     def payoff(truth_idx: int, report_idx: int) -> float:
         """Per-head payoff of a ``truth_idx`` agent announcing ``report_idx``.
@@ -152,7 +151,7 @@ def incentive_gap(
             else:
                 dev = opponent_counts.copy()
             dev[report_idx] += 1
-            solution = solve_weighted(scenario, dev / num_agents, scenario.capacities, config)
+            solution = solve_weighted(scenario, dev / num_agents, scenario.capacities)
         probe = Profile(ts, np.array([truth_idx]), np.array([report_idx]))
         outcome = shadow_price_outcome(
             probe, scenario, solution.z, solution.p, solution.constraint_slack, mean_field=True
@@ -189,11 +188,15 @@ def incentive_gap(
 
 
 def loglog_slope(x, y) -> float:
-    """OLS slope of log(y) on log(x) over strictly positive points."""
+    """OLS slope of log(y) on log(x) over strictly positive points.
+
+    NaN unless those points hold at least two distinct ``x``: no line is
+    fitted through a single size.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = (x > 0) & (y > 0)
-    if np.count_nonzero(keep) < 2:
+    if len(set(x[keep].tolist())) < 2:
         return float("nan")
     return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
 
@@ -227,11 +230,6 @@ def sweep_from_reports(reports: list[IncentiveReport]) -> IncentiveSweep:
     )
 
 
-def verify_incentive_bound(
-    scenario: Scenario,
-    rho: Population,
-    i_list,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> IncentiveSweep:
+def verify_incentive_bound(scenario: Scenario, rho: Population, i_list) -> IncentiveSweep:
     """Measure per-head gaps across a replication sweep and compare with the ceiling."""
-    return sweep_from_reports([incentive_gap(scenario, rho, int(n), config) for n in i_list])
+    return sweep_from_reports([incentive_gap(scenario, rho, int(n)) for n in i_list])

@@ -7,8 +7,8 @@ the planner allocates from the solved menu):
   from one leave-one-out solve per distinct report.  It is the small-scale
   oracle: exact, strategyproof, and expensive.
 * :func:`large_scale_vcg` charges shadow prices for the agent's *monitored*
-  (true-influence) load, minus an optional per-capita capacity rebate
-  ``beta * C_n / I``.  Payments need only the market prices and observed
+  (true-influence) load, minus a per-capita capacity rebate
+  ``beta * C_n / I`` at the scenario's rebate share ``beta``.  Payments need only the market prices and observed
   loads, never a re-solve.
 
 The charge itself is :func:`shadow_price_outcome`: given any solved menu and
@@ -36,11 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import Population, Profile, Scenario, ValidationError, _frozen_array, utility_value
-from .solver import (
-    DEFAULT_CONFIG,
-    SolverConfig,
-    solve_weighted,
-)
+from .solver import solve_weighted
 
 __all__ = [
     "Outcome",
@@ -120,11 +116,7 @@ def _cell_payoffs(
     )
 
 
-def vcg_exact(
-    profile: Profile,
-    scenario: Scenario,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> Outcome:
+def vcg_exact(profile: Profile, scenario: Scenario) -> Outcome:
     """Exact VCG outcome for an explicit agent profile (small-scale oracle).
 
     The allocation maximizes reported welfare subject to the reported-type
@@ -144,7 +136,7 @@ def vcg_exact(
         )
 
     counts = profile.report_counts()
-    full = solve_weighted(scenario, counts, scenario.capacities, config)
+    full = solve_weighted(scenario, counts, scenario.capacities)
     w = scenario.type_weights()
     per_type_utility = np.sum(w * np.log1p(full.z), axis=1)
     reported_welfare = float(counts @ per_type_utility)
@@ -155,7 +147,7 @@ def vcg_exact(
         others[r_idx] -= 1.0
         if others.sum() <= 0:
             continue
-        rest = solve_weighted(scenario, others, scenario.capacities, config)
+        rest = solve_weighted(scenario, others, scenario.capacities)
         rest_welfare = float(others @ np.sum(w * np.log1p(rest.z), axis=1))
         others_at_joint = reported_welfare - per_type_utility[r_idx]
         payment_of_report[r_idx] = rest_welfare - others_at_joint
@@ -180,23 +172,19 @@ def shadow_price_outcome(
     menu: np.ndarray,
     prices: np.ndarray,
     constraint_slack: np.ndarray,
-    beta: float | None = None,
     mean_field: bool = False,
 ) -> Outcome:
     """Charge shadow prices on a solved menu: the superimposable payment rule.
 
     Each agent receives row ``menu[report]`` and pays
     ``sum_n prices_n * (f_true(z_report) - rebate_n)``, where the rebate is
-    ``beta * C_n / I`` for a finite population of ``I = profile.num_agents``
+    ``scenario.beta * C_n / I`` for a finite population of ``I = profile.num_agents``
     agents, and ``beta * C_n`` per capita in ``mean_field`` mode (the agents
     are then measure-zero probes).  ``menu`` and ``prices`` may come from any
     algorithm that solves the program; nothing is re-solved.
     """
     scenario.check_profile(profile)
-    beta = scenario.beta if beta is None else float(beta)
-    if not (0.0 <= beta <= 1.0):
-        raise ValidationError(f"beta must lie in [0, 1], got {beta!r}")
-    rebate = beta * scenario.capacities
+    rebate = scenario.beta * scenario.capacities
     if not mean_field:
         rebate = rebate / profile.num_agents
 
@@ -209,7 +197,7 @@ def shadow_price_outcome(
         cell_payments=payments,
         cell_payoffs=_cell_payoffs(scenario, cells.true_idx, allocations, payments),
         prices=prices,
-        beta=beta,
+        beta=scenario.beta,
         constraint_slack=constraint_slack,
         mean_field=mean_field,
     )
@@ -218,9 +206,7 @@ def shadow_price_outcome(
 def large_scale_vcg(
     profile: Profile,
     scenario: Scenario,
-    config: SolverConfig = DEFAULT_CONFIG,
     report_distribution: Population | np.ndarray | None = None,
-    beta: float | None = None,
 ) -> Outcome:
     """Shadow-price mechanism outcome: solve the reported program, then charge.
 
@@ -244,10 +230,8 @@ def large_scale_vcg(
         weights = report_distribution.shares
     else:
         weights = np.asarray(report_distribution, dtype=float)
-    solution = solve_weighted(scenario, weights, scenario.capacities, config)
-    return shadow_price_outcome(
-        profile, scenario, solution.z, solution.p, solution.constraint_slack, beta, mean_field
-    )
+    solution = solve_weighted(scenario, weights, scenario.capacities)
+    return shadow_price_outcome(profile, scenario, solution.z, solution.p, solution.constraint_slack, mean_field)
 
 
 def budget_audit(outcome: Outcome, scenario: Scenario) -> tuple[float, float]:
@@ -277,18 +261,14 @@ def ir_audit(outcome: Outcome) -> float:
     return float(np.min(outcome.cell_payoffs))
 
 
-def shadow_payment_gap(
-    profile: Profile,
-    scenario: Scenario,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
+def shadow_payment_gap(profile: Profile, scenario: Scenario) -> np.ndarray:
     """Per-agent |exact-VCG payment - shadow-price payment| for a profile.
 
     The shadow payment is ``sum_n lambda_n f_true(x_n)`` at the head-count
     optimum; under truth-telling the gap shrinks as the population grows,
     which is the convergence measurement behind the large-scale payment rule.
     """
-    exact = vcg_exact(profile, scenario, config)
+    exact = vcg_exact(profile, scenario)
     cells = profile.cells
     shadow = _cell_loads(scenario, cells.true_idx, exact.cell_allocations) @ exact.prices
     return np.abs(exact.cell_payments - shadow)[cells.of_agent]

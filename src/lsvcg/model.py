@@ -37,7 +37,6 @@ __all__ = [
     "UtilityParams",
     "InfluenceParams",
     "Population",
-    "Report",
     "Cells",
     "Profile",
     "Scenario",
@@ -189,14 +188,6 @@ class Population:
         return np.round(self.shares * self.num_agents).astype(int)
 
 
-@dataclass(frozen=True)
-class Report:
-    """A (possibly untruthful) type announcement."""
-
-    theta_report: int
-    zeta_report: int
-
-
 def _flat_types(pairs: Sequence, type_space: TypeSpace) -> np.ndarray:
     """Flat indices of ``(theta, zeta)`` pairs, each checked against the type space."""
     arr = np.asarray(pairs, dtype=int).reshape(-1, 2)
@@ -255,25 +246,27 @@ class Profile:
         cls,
         true_types: Sequence[tuple[int, int]],
         type_space: TypeSpace,
-        reports: Sequence[Report] | None = None,
+        reports: Sequence[tuple[int, int]] | None = None,
     ) -> Profile:
-        """Adapter for explicit agent lists; ``reports`` defaults to the truth."""
+        """Adapter for explicit agent lists of ``(theta, zeta)`` pairs; ``reports``
+        (announced pairs, one per agent) defaults to the truth."""
         true_idx = _flat_types(true_types, type_space)
         if reports is None:
             return cls(type_space, true_idx, true_idx)
         if len(reports) != len(true_types):
             raise ValidationError("reports and true_types must have equal length")
-        report_idx = _flat_types([(r.theta_report, r.zeta_report) for r in reports], type_space)
+        report_idx = _flat_types(reports, type_space)
         return cls(type_space, true_idx, report_idx)
 
     @property
     def num_agents(self) -> int:
         return int(self.true_idx.size)
 
-    def with_report(self, agent: int, report: Report) -> Profile:
-        """Copy in which ``agent`` announces ``report`` and everyone else is unchanged."""
+    def with_report(self, agent: int, report: tuple[int, int]) -> Profile:
+        """Copy in which ``agent`` announces the ``(theta, zeta)`` pair ``report``
+        and everyone else is unchanged."""
         reports = self.report_idx.copy()
-        reports[agent] = self.type_space.flat_index(report.theta_report, report.zeta_report)
+        reports[agent] = self.type_space.flat_index(*report)
         return Profile(self.type_space, self.true_idx, reports)
 
     @cached_property

@@ -28,7 +28,8 @@ import numpy as np
 from .model import Population, Scenario, ValidationError, _frozen_array, empirical_population
 
 __all__ = [
-    "SolverConfig",
+    "PRICE_TOLERANCE",
+    "MAX_BISECTION_STEPS",
     "SolverError",
     "DegeneratePointError",
     "PrimalDualSolution",
@@ -52,19 +53,12 @@ class DegeneratePointError(ValueError):
     """Sensitivity undefined at a degenerate point (slack constraint or corner)."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    price_tolerance: float = 1e-10
-    max_bisection_iters: int = 200
-
-    def __post_init__(self):
-        if self.price_tolerance <= 0:
-            raise ValidationError("price_tolerance must be positive")
-        if self.max_bisection_iters < 1:
-            raise ValidationError("max_bisection_iters must be positive")
-
-
-DEFAULT_CONFIG = SolverConfig()
+#: Largest relative clearing miss ``|demand - capacity| / max(capacity, 1)``
+#: a static market may leave.
+PRICE_TOLERANCE = 1e-10
+#: Step budget of every bisection; halving ``[0, hi]`` reaches machine
+#: precision well within it.
+MAX_BISECTION_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -155,17 +149,17 @@ def _influence_matrix(scenario: Scenario, z: np.ndarray) -> np.ndarray:
     return scenario.influence.load(scenario.type_zeta(), z)
 
 
-def _clear_price(demand, capacity, hi: float, tolerance: float, config: SolverConfig) -> tuple[float, int]:
+def _clear_price(demand, capacity, hi: float, tolerance: float) -> tuple[float, int]:
     """Clearing price of a nonincreasing ``demand`` curve, and the bisection steps taken.
 
     Zero if ``demand(0)`` fits ``capacity``; otherwise the feasible end of
-    ``[0, hi]`` halved to machine precision or the step budget.  Raises
+    ``[0, hi]`` halved to machine precision or ``MAX_BISECTION_STEPS``.  Raises
     ``SolverError`` if demand there misses by more than ``tolerance * max(capacity, 1)``.
     """
     if demand(0.0) <= capacity:
         return 0.0, 0
     lo, steps = 0.0, 0
-    for _ in range(config.max_bisection_iters):
+    for _ in range(MAX_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -183,12 +177,7 @@ def _clear_price(demand, capacity, hi: float, tolerance: float, config: SolverCo
     return hi, steps
 
 
-def solve_weighted(
-    scenario: Scenario,
-    weights,
-    capacities=None,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> PrimalDualSolution:
+def solve_weighted(scenario: Scenario, weights, capacities=None) -> PrimalDualSolution:
     """Solve the weighted program for arbitrary positive type weights.
 
     ``weights`` need not sum to one, and individual types may carry zero
@@ -220,7 +209,7 @@ def solve_weighted(
 
         try:
             # demand is zero at the top of the bracket
-            p[n], steps = _clear_price(demand, caps[n], float(np.max(wn / an)), config.price_tolerance, config)
+            p[n], steps = _clear_price(demand, caps[n], float(np.max(wn / an)), PRICE_TOLERANCE)
         except SolverError as exc:
             raise SolverError(f"market for resource {n} {exc}") from None
         total_iters += steps
@@ -239,16 +228,14 @@ def solve_weighted(
     return replace(solution, kkt_residual=kkt_residual(solution, scenario, weights))
 
 
-def solve_population(scenario: Scenario, rho: Population | None = None, config: SolverConfig = DEFAULT_CONFIG) -> PrimalDualSolution:
+def solve_population(scenario: Scenario, rho: Population | None = None) -> PrimalDualSolution:
     """Solve the share-weighted program at the scenario's capacities."""
     pop = scenario.population if rho is None else rho
-    return solve_weighted(scenario, pop.shares, scenario.capacities, config)
+    return solve_weighted(scenario, pop.shares, scenario.capacities)
 
 
 def solve_agent_list(
-    assignments: Sequence[tuple[int, int]],
-    scenario: Scenario,
-    config: SolverConfig = DEFAULT_CONFIG,
+    assignments: Sequence[tuple[int, int]], scenario: Scenario
 ) -> tuple[PrimalDualSolution, Population]:
     """Solve the head-count program over an explicit agent list.
 
@@ -259,7 +246,7 @@ def solve_agent_list(
     program's own duals.
     """
     pop = empirical_population(assignments, scenario.type_space)
-    solution = solve_weighted(scenario, pop.shares, scenario.capacities / pop.num_agents, config)
+    solution = solve_weighted(scenario, pop.shares, scenario.capacities / pop.num_agents)
     return solution, pop
 
 

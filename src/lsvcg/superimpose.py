@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .mechanisms import Outcome, shadow_price_outcome
-from .model import InfluenceParams, Population, Profile, Report, Scenario, ValidationError, _frozen_array
+from .model import InfluenceParams, Population, Profile, Scenario, ValidationError, _frozen_array
 from .solver import _response_matrix  # shared closed-form best responses
 
 __all__ = [
@@ -169,14 +169,10 @@ def run_algorithm(
     )
 
 
-def superimposed_outcome(
-    trace: AlgorithmTrace,
-    scenario: Scenario,
-    beta: float | None = None,
-) -> Outcome:
+def superimposed_outcome(trace: AlgorithmTrace, scenario: Scenario) -> Outcome:
     """Charge shadow-price payments computed purely from the trace outputs.
 
-    ``h_i = sum_n lambda_n * (f_true(x_i) - beta * C_n / I)`` with the
+    ``h_i = sum_n lambda_n * (f_true(x_i) - scenario.beta * C_n / I)`` with the
     algorithm's own final prices and allocations for the trace's profile,
     through :func:`~lsvcg.mechanisms.shadow_price_outcome`; nothing is
     re-solved.
@@ -184,9 +180,7 @@ def superimposed_outcome(
     if not trace.converged:
         raise ValidationError("cannot superimpose payments on an unconverged trace")
     constraint_slack = -trace.final_excess * trace.profile.num_agents
-    return shadow_price_outcome(
-        trace.profile, scenario, trace.final_menu, trace.final_prices, constraint_slack, beta
-    )
+    return shadow_price_outcome(trace.profile, scenario, trace.final_menu, trace.final_prices, constraint_slack)
 
 
 def obedience_check(
@@ -212,7 +206,7 @@ def obedience_check(
     deviator = int(np.argmax(profile.true_idx == own))
 
     def deviator_payoff(impersonated: int) -> float:
-        deviation = profile.with_report(deviator, Report(*ts.unflatten(impersonated)))
+        deviation = profile.with_report(deviator, ts.unflatten(impersonated))
         trace = run_algorithm(deviation, scenario, config)
         return float(superimposed_outcome(trace, scenario).payoffs[deviator])
 

@@ -150,8 +150,9 @@ def test_criterion_2_budget_identity():
     for scenario in _binding_scenarios(2):
         profile = Profile.truthful(scenario.population, scenario.type_space)
         for beta in (0.0, 0.5, 1.0):
-            outcome = large_scale_vcg(profile, scenario, beta=beta)
-            total, predicted = budget_audit(outcome, replace(scenario, beta=beta))
+            rebated = replace(scenario, beta=beta)
+            outcome = large_scale_vcg(profile, rebated)
+            total, predicted = budget_audit(outcome, rebated)
             scale = max(1.0, float(outcome.prices @ scenario.capacities))
             worst = max(worst, abs(total - predicted) / scale)
             if beta == 1.0:
@@ -169,7 +170,7 @@ def test_criterion_3_individual_rationality():
     for scenario in _binding_scenarios(3):
         profile = Profile.truthful(scenario.population, scenario.type_space)
         for beta in (0.0, 0.5, 1.0):
-            outcome = large_scale_vcg(profile, scenario, beta=beta)
+            outcome = large_scale_vcg(profile, replace(scenario, beta=beta))
             worst = min(worst, ir_audit(outcome))
     _report("03", worst >= -1e-9, f"minimum truthful payoff across 100 scenarios x 3 betas: {worst:.2e}")
 

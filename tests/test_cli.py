@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,13 @@ def test_dynamic_document_with_a_malformed_field_exits_2(field, value, message, 
 
 
 @pytest.mark.parametrize("subcommand", ["solve", "vcg", "lsvcg", "incentive-sweep", "sensitivity", "superimpose"])
+def test_static_subcommands_run_on_the_quadratic_document(subcommand, tmp_path):
+    # two resources with quadratic influence, capacities as totals over ten agents
+    doc = SCENARIOS / "quadratic.json"
+    assert _run(subcommand, "--scenario", str(doc), "--out", str(tmp_path / "o")) == 0
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "vcg", "lsvcg", "incentive-sweep", "sensitivity", "superimpose"])
 def test_static_subcommands_reject_a_dynamic_document(subcommand, tmp_path, capsys):
     doc = SCENARIOS / "dynamic.json"
     assert _run(subcommand, "--scenario", str(doc), "--out", str(tmp_path / "o")) == 2
@@ -110,6 +118,35 @@ def test_static_subcommands_reject_a_dynamic_document(subcommand, tmp_path, caps
 
 def test_missing_scenario_exits_2(tmp_path):
     assert _run("solve", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")) == 2
+
+
+def test_unreadable_scenario_exits_2(tmp_path, capsys):
+    # a directory passed as the scenario
+    assert _run("solve", "--scenario", str(tmp_path), "--out", str(tmp_path / "o")) == 2
+    assert "cannot read the scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["1.5", "nan"])
+def test_out_of_range_beta_exits_2(scenario_file, tmp_path, capsys, beta):
+    assert _run("lsvcg", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"), "--beta", beta) == 2
+    assert "beta must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--workers", "0"], "--workers must be positive"),
+        (["--i-list", "0"], "head counts must be positive"),
+        (["--i-list", "10,-5"], "head counts must be positive"),
+    ],
+    ids=["no-workers", "zero-head-count", "negative-head-count"],
+)
+def test_incentive_sweep_rejects_nonpositive_counts(incentive_file, tmp_path, capsys, flags, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic
+        code = _run("incentive-sweep", "--scenario", str(incentive_file), "--out", str(tmp_path / "o"), *flags)
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_solver_failure_exits_3(scenario_file, tmp_path, monkeypatch):
@@ -187,12 +224,19 @@ def test_incentive_sweep_all_rows_hold(incentive_file, tmp_path):
 
 def test_incentive_sweep_undefined_slope_is_null(tmp_path):
     # the two-type document has no profitable misreport, so no gain is
-    # positive and there is no slope to fit
-    doc = SCENARIOS / "two_type.json"
-    out = tmp_path / "run"
-    assert _run("incentive-sweep", "--scenario", str(doc), "--out", str(out), "--i-list", "10,20,40") == 0
-    meta = _strict_json(out / "meta.json")
-    assert meta["slope"] is None
+    # positive; a repeated head count is one point, not a line
+    for document, i_list in (("two_type.json", "10,20,40"), ("incentive.json", "10,10")):
+        out = tmp_path / document
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no fit is attempted
+            argv = ["--scenario", str(SCENARIOS / document), "--out", str(out), "--i-list", i_list]
+            code = _run("incentive-sweep", *argv)
+        assert code == 0
+        meta = _strict_json(out / "meta.json")
+        assert meta["slope"] is None
+        rows = [l for l in (out / "sweep.csv").read_text().strip().splitlines() if not l.startswith("#")]
+        slope_col = rows[0].split(",").index("slope")
+        assert {r.split(",")[slope_col] for r in rows[1:]} == {"nan"}
 
 
 def test_sensitivity_outputs(scenario_file, tmp_path):

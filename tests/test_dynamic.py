@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lsvcg.solver
 from lsvcg.dynamic import (
     DynamicScenario,
     MeanFieldState,
@@ -18,7 +19,7 @@ from lsvcg.dynamic import (
 from lsvcg.generate import dynamic_benchmark, random_dynamic_scenario, rng_for
 from lsvcg.mechanisms import large_scale_vcg
 from lsvcg.model import ValidationError, utility_value
-from lsvcg.solver import SolverConfig, SolverError
+from lsvcg.solver import SolverError
 
 
 def test_kernel_validation():
@@ -218,11 +219,12 @@ def test_allocation_dependent_slot_clears_and_charges():
     assert all(row.holds for row in dynamic_incentive_gap(dyn, policy, 10))
 
 
-def test_binned_slot_failure_reports_its_bracket():
+def test_binned_slot_failure_reports_its_bracket(monkeypatch):
     dyn = dynamic_benchmark(kernel="allocation", discount=0.5, num_bins=4)
     policy = plan_policy(dyn, "myopic")
+    monkeypatch.setattr(lsvcg.solver, "MAX_BISECTION_STEPS", 3)
     with pytest.raises(SolverError, match="demand - capacity") as exc:
-        dynamic_mechanism_step(dyn.rho0, dyn, policy, 0, SolverConfig(max_bisection_iters=3))
+        dynamic_mechanism_step(dyn.rho0, dyn, policy, 0)
     assert "bracket" in str(exc.value) and "3 bisection steps" in str(exc.value)
 
 
@@ -257,15 +259,6 @@ def test_truthful_slot_is_priced_once(num_agents, monkeypatch):
     num_types = dyn.num_types
     per_slot = 1 if num_agents is None else 1 + num_types * (num_types - 1)
     assert slots == [t for t in range(dyn.horizon) for _ in range(per_slot)]
-
-
-def test_rebate_switch_lowers_payments():
-    dyn = dynamic_benchmark(kernel="mixing", discount=0.5)
-    policy = plan_policy(dyn, "myopic")
-    plain = dynamic_mechanism_step(dyn.rho0, dyn, policy, 0)
-    rebated = dynamic_mechanism_step(dyn.rho0, dyn, policy, 0, include_rebate=True)
-    rebate = dyn.static.beta * float(dyn.static.capacities @ plain.p)
-    assert np.allclose(rebated.payments, plain.payments - rebate, atol=1e-12)
 
 
 def test_dynamic_document_round_trip():

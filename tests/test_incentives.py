@@ -214,3 +214,7 @@ def test_loglog_slope_helper():
     assert loglog_slope(x, 5.0 / x) == pytest.approx(-1.0, abs=1e-12)
     assert loglog_slope(x, 5.0 / x**2) == pytest.approx(-2.0, abs=1e-12)
     assert np.isnan(loglog_slope(x, np.zeros(4)))
+    # a repeated size is one point, not a line
+    assert np.isnan(loglog_slope([10, 10], [0.2, 0.1]))
+    assert np.isnan(loglog_slope([10, 10, 20], [0.2, 0.1, 0.0]))
+    assert loglog_slope([10, 10, 20], [0.2, 0.2, 0.1]) == pytest.approx(-1.0, abs=1e-12)

@@ -22,7 +22,6 @@ from lsvcg.model import (
     InfluenceParams,
     Population,
     Profile,
-    Report,
     Scenario,
     TypeSpace,
     UtilityParams,
@@ -82,7 +81,7 @@ def test_truth_is_dominant_in_exhaustive_sweep():
         z_max=60.0,
     )
     true_types = [(0, 0), (0, 0), (1, 0), (1, 0)]
-    reports_set = [Report(0, 0), Report(1, 0)]
+    reports_set = [(0, 0), (1, 0)]
     for opp in np.ndindex(2, 2, 2):
         opponents = [reports_set[k] for k in opp]
         for deviator_true in [(0, 0), (1, 0)]:
@@ -91,7 +90,7 @@ def test_truth_is_dominant_in_exhaustive_sweep():
                 profile = Profile.from_agents([deviator_true] + true_types[1:], scenario.type_space, [own] + opponents)
                 outcome = vcg_exact(profile, scenario)
                 payoffs[own] = outcome.payoffs[0]
-            truthful = payoffs[Report(*deviator_true)]
+            truthful = payoffs[deviator_true]
             assert truthful >= max(payoffs.values()) - 1e-9
 
 
@@ -162,7 +161,7 @@ def test_payoff_accounting_is_exact(rng):
     scenario = random_scenario(rng, num_theta=2, num_zeta=2, num_resources=1, num_agents=8)
     assignments = replicate_assignments(scenario.population.shares, 8, scenario.type_space)
     # one misreport; payoffs must still use true types
-    profile = Profile.from_agents(assignments, scenario.type_space).with_report(0, Report(1, 1))
+    profile = Profile.from_agents(assignments, scenario.type_space).with_report(0, (1, 1))
     outcome = large_scale_vcg(profile, scenario)
     for i, (theta, _) in enumerate(assignments):
         expected = utility_value(scenario.utility, theta, outcome.allocations[i]) - outcome.payments[i]
@@ -206,7 +205,7 @@ def test_mean_field_truth_dominates_menu(rng):
                 if alt == r:
                     continue
                 dev = large_scale_vcg(
-                    Profile.from_agents([true_type], ts, [Report(*ts.unflatten(alt))]),
+                    Profile.from_agents([true_type], ts, [ts.unflatten(alt)]),
                     scenario,
                     report_distribution=scenario.population,
                 )

@@ -216,6 +216,16 @@ def test_document_rejects_undersized_cap(bench1):
         load_scenario(json.dumps(doc))
 
 
+@pytest.mark.parametrize("beta", [-0.1, 1.5, math.nan])
+def test_scenario_is_the_one_beta_check(bench1, beta):
+    # every charge reads scenario.beta, so a rebate share is set, and
+    # checked, only by building a scenario
+    from dataclasses import replace
+
+    with pytest.raises(ValidationError, match=r"beta must lie in \[0, 1\]"):
+        replace(bench1, beta=beta)
+
+
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_random_scenario_round_trip_is_exact(seed):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lsvcg.generate import random_scenario, replicate_assignments, rng_for, scale_capacity
 from lsvcg.mechanisms import large_scale_vcg, outcome_rows, vcg_exact
-from lsvcg.model import Population, Profile, Report, TypeSpace, ValidationError, empirical_population, utility_value
+from lsvcg.model import Population, Profile, TypeSpace, ValidationError, empirical_population, utility_value
 from lsvcg.solver import best_response, solve_weighted
 from lsvcg.superimpose import AlgorithmConfig, obedience_check, run_algorithm, superimposed_outcome
 
@@ -27,7 +27,7 @@ def test_truthful_profile_matches_replicated_agent_order():
 
 def test_cells_group_agents_by_true_type_and_report():
     ts = TypeSpace(2, 1, 1)
-    reports = [Report(0, 0), Report(0, 0), Report(1, 0), Report(0, 0)]
+    reports = [(0, 0), (0, 0), (1, 0), (0, 0)]
     profile = Profile.from_agents([(1, 0), (0, 0), (1, 0), (0, 0)], ts, reports)
     cells = profile.cells
     assert cells.true_idx.tolist() == [0, 1, 1]
@@ -40,7 +40,7 @@ def test_cells_group_agents_by_true_type_and_report():
 def test_with_report_changes_one_agent_only():
     ts = TypeSpace(2, 1, 1)
     profile = Profile.from_agents([(0, 0), (1, 0), (1, 0)], ts)
-    deviant = profile.with_report(2, Report(0, 0))
+    deviant = profile.with_report(2, (0, 0))
     assert deviant.report_idx.tolist() == [0, 1, 0]
     assert profile.report_idx.tolist() == [0, 1, 1]
     assert np.array_equal(deviant.true_idx, profile.true_idx)
@@ -51,7 +51,7 @@ def test_profile_validation():
     with pytest.raises(ValidationError, match=r"type \(2, 0\) outside the type space"):
         Profile.from_agents([(0, 0), (2, 0)], ts)
     with pytest.raises(ValidationError, match="equal length"):
-        Profile.from_agents([(0, 0)], ts, [Report(0, 0), Report(1, 0)])
+        Profile.from_agents([(0, 0)], ts, [(0, 0), (1, 0)])
     with pytest.raises(ValidationError, match="outside the type space"):
         Profile(ts, np.array([0, 2]), np.array([0, 1]))
     with pytest.raises(ValidationError, match="different type spaces"):
@@ -69,7 +69,7 @@ def test_outcome_rows_expand_cells_in_agent_order():
     scenario = random_scenario(rng_for(5), num_theta=2, num_zeta=2, num_resources=2, num_agents=8)
     ts = scenario.type_space
     agents = replicate_assignments(scenario.population.shares, 8, ts)[::-1]
-    outcome = large_scale_vcg(Profile.from_agents(agents, ts).with_report(0, Report(0, 1)), scenario)
+    outcome = large_scale_vcg(Profile.from_agents(agents, ts).with_report(0, (0, 1)), scenario)
     rows = outcome_rows(outcome)
     assert [row["id"] for row in rows] == list(range(8))
     for i, row in enumerate(rows):
@@ -94,7 +94,7 @@ def _load(scenario, zeta, x):
 def _report_counts(scenario, reports):
     counts = np.zeros(scenario.type_space.num_types)
     for report in reports:
-        counts[scenario.type_space.flat_index(report.theta_report, report.zeta_report)] += 1.0
+        counts[scenario.type_space.flat_index(*report)] += 1.0
     return counts
 
 
@@ -102,7 +102,7 @@ def _check_agents(scenario, agents, reports, outcome, payment_of):
     """Compare ``outcome`` with per-agent allocations from its prices' menu."""
     ts = scenario.type_space
     for i, ((theta, zeta), report) in enumerate(zip(agents, reports)):
-        x, h, scale = payment_of(i, ts.flat_index(report.theta_report, report.zeta_report), zeta)
+        x, h, scale = payment_of(i, ts.flat_index(*report), zeta)
         assert np.array_equal(outcome.allocations[i], x)
         assert _close(outcome.payments[i], h, scale)
         u = utility_value(scenario.utility, theta, x)
@@ -130,7 +130,7 @@ def explicit_populations(draw):
     agents = [ordered[k] for k in draw(st.permutations(range(num_agents)))]
     # about half the agents misreport a random type; the others tell the truth
     draws = draw(st.lists(st.integers(0, 2 * num_types - 1), min_size=num_agents, max_size=num_agents))
-    reports = [Report(*ts.unflatten(r)) if r < num_types else Report(*agent) for agent, r in zip(agents, draws)]
+    reports = [ts.unflatten(r) if r < num_types else agent for agent, r in zip(agents, draws)]
     return scenario, agents, reports
 
 
@@ -186,12 +186,12 @@ def test_superimposed_outcome_matches_per_agent_reference(case):
     scenario, agents, reports = case
     trace = run_algorithm(Profile.from_agents(agents, scenario.type_space, reports), scenario, CONFIG)
     # every agent replies as its report, and the coordinator books its true load
-    replies = [best_response(r.theta_report, r.zeta_report, trace.round_prices[-1], scenario) for r in reports]
+    replies = [best_response(*r, trace.round_prices[-1], scenario) for r in reports]
     demand = sum(_load(scenario, zeta, x) for (_, zeta), x in zip(agents, replies)) / len(agents)
     assert np.allclose(trace.round_demand[-1], demand, rtol=1e-12, atol=0.0)
     for i, r in enumerate(reports):
         assert np.array_equal(
-            trace.final_allocations[i], best_response(r.theta_report, r.zeta_report, trace.final_prices, scenario)
+            trace.final_allocations[i], best_response(*r, trace.final_prices, scenario)
         )
     if not trace.converged:
         with pytest.raises(ValidationError, match="unconverged"):
@@ -218,8 +218,8 @@ def test_obedience_check_equals_explicit_runs(case, data):
     own = agents[deviator]
 
     def payoff(impersonated):
-        reports = [Report(*agent) for agent in agents]
-        reports[deviator] = Report(*impersonated)
+        reports = list(agents)
+        reports[deviator] = impersonated
         trace = run_algorithm(Profile.from_agents(agents, ts, reports), scenario, CONFIG)
         return float(superimposed_outcome(trace, scenario).payoffs[deviator])
 

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lsvcg.solver
 from lsvcg.generate import random_scenario, rng_for, single_type_benchmark
 from lsvcg.model import Population, ValidationError
 from lsvcg.solver import (
     DegeneratePointError,
-    SolverConfig,
     SolverError,
     best_response,
     kkt_residual,
@@ -172,10 +172,11 @@ def test_aggregate_demand_monotone_in_price(seed):
     assert all(d1 >= d2 - 1e-9 for d1, d2 in zip(demands, demands[1:]))
 
 
-def test_nonconvergence_raises_with_residual_report(bench_gap):
+def test_nonconvergence_raises_with_residual_report(bench_gap, monkeypatch):
     # clearing price 0.65 is not reachable in three halvings of [0, 1.6]
+    monkeypatch.setattr(lsvcg.solver, "MAX_BISECTION_STEPS", 3)
     with pytest.raises(SolverError, match="demand - capacity") as exc:
-        solve_population(bench_gap, config=SolverConfig(max_bisection_iters=3))
+        solve_population(bench_gap)
     assert "bracket" in str(exc.value) and "3 bisection steps" in str(exc.value)
 
 

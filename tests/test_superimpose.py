@@ -5,7 +5,7 @@ import pytest
 
 from lsvcg.generate import obedience_scenario, rng_for, scale_capacity, single_type_benchmark
 from lsvcg.mechanisms import large_scale_vcg
-from lsvcg.model import Population, Profile, Report, ValidationError
+from lsvcg.model import Population, Profile, ValidationError
 from lsvcg.solver import solve_agent_list
 from lsvcg.superimpose import (
     AlgorithmConfig,
@@ -63,7 +63,7 @@ def test_single_deviator_barely_moves_prices():
     scenario = scale_capacity(obedience_scenario(rng, num_agents=1000), 1000)
     profile = Profile.truthful(scenario.population, scenario.type_space)
     obedient = run_algorithm(obedient_actions(profile), scenario)
-    last = Report(*scenario.type_space.unflatten(int(profile.true_idx[-1])))
+    last = scenario.type_space.unflatten(int(profile.true_idx[-1]))
     deviant = run_algorithm(profile.with_report(0, last), scenario)
     assert np.max(np.abs(deviant.final_prices - obedient.final_prices)) <= 1e-3
 
@@ -83,7 +83,7 @@ def test_deviation_price_impact_scales_inversely_with_agents():
         )
         profile = Profile.truthful(scenario.population, scenario.type_space)
         obedient = run_algorithm(obedient_actions(profile), scenario)
-        last = Report(*scenario.type_space.unflatten(int(profile.true_idx[-1])))
+        last = scenario.type_space.unflatten(int(profile.true_idx[-1]))
         deviant = run_algorithm(profile.with_report(0, last), scenario)
         assert np.max(np.abs(deviant.final_prices - obedient.final_prices)) <= K / num_agents
 
