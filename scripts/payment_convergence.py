@@ -2,9 +2,10 @@
 """Exact-VCG payments versus shadow-price payments under replication.
 
 Replicates a fixed two-type economy (population and capacity scaled
-together) and prints the largest per-agent difference between the exact
+together) and prints the largest per-cell difference between the exact
 leave-one-out payment and the shadow-price payment at each size, with the
-observed decay exponent.
+observed decay exponent.  Agents of one (true type, report) cell pay alike,
+so the largest per-cell gap is the largest over agents.
 """
 
 import numpy as np

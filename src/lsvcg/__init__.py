@@ -68,7 +68,6 @@ from .superimpose import (
 )
 from .dynamic import (
     DynamicScenario,
-    MeanFieldState,
     Policy,
     SlotOutcome,
     TransitionKernel,

@@ -65,11 +65,13 @@ def _write_table(path: Path, rows: list[dict], manifest: RunManifest) -> None:
 
 
 def _write_outcome(path: Path, outcome: Outcome, manifest: RunManifest) -> None:
-    """One row per agent; each cell's columns are formatted once and shared by its agents."""
+    """One row per agent, agents numbered cell by cell; each cell's columns are
+    formatted once and shared by its agents."""
     cell_rows = outcome_cell_rows(outcome)
     cell_text = [",".join(_format(value) for value in row.values()) for row in cell_rows]
     header = ["id", *cell_rows[0]] if cell_rows else []
-    body = [f"{i},{cell_text[c]}" for i, c in enumerate(outcome.profile.cells.of_agent.tolist())]
+    agent_cells = np.repeat(np.arange(len(cell_rows)), outcome.profile.cells.counts)
+    body = [f"{i},{cell_text[c]}" for i, c in enumerate(agent_cells.tolist())]
     _write_lines(path, header, body, manifest)
 
 
@@ -164,11 +166,11 @@ def cmd_lsvcg(args, manifest: RunManifest, out: Path) -> None:
         total, predicted = budget_audit(outcome, scenario)
         budget = [{"total_payments": total, "predicted": predicted, "beta": outcome.beta}]
     else:
-        probes = np.arange(scenario.type_space.num_types)  # one truthful probe per type
+        probes = np.eye(scenario.type_space.num_types, dtype=int)  # one truthful probe per type
         outcome = large_scale_vcg(
-            Profile(scenario.type_space, probes, probes), scenario, report_distribution=scenario.population
+            Profile(scenario.type_space, probes), scenario, report_distribution=scenario.population
         )
-        per_capita = float(scenario.population.shares @ outcome.payments)
+        per_capita = float(scenario.population.shares @ outcome.cell_payments)
         budget = [{"total_payments": per_capita, "predicted": float(
             outcome.prices @ ((1.0 - outcome.beta) * scenario.capacities)
         ), "beta": outcome.beta}]

@@ -41,7 +41,6 @@ from .solver import SolverError, _clear_price, solve_weighted
 __all__ = [
     "TransitionKernel",
     "DynamicScenario",
-    "MeanFieldState",
     "Policy",
     "SlotOutcome",
     "DynamicIncentiveRow",
@@ -75,10 +74,15 @@ class TransitionKernel:
         edges = _frozen_array(self.bin_edges)
         if q.ndim != 3 or q.shape[0] != q.shape[1]:
             raise ValidationError("kernel.probabilities must have shape (T, T, num_bins)")
-        if edges.ndim != 1 or edges.size != q.shape[2] + 1 or np.any(np.diff(edges) <= 0):
-            raise ValidationError("kernel.bin_edges must be increasing with num_bins + 1 entries")
-        if np.any(q < 0) or np.any(q > 1):
-            raise ValidationError("kernel.probabilities must lie in [0, 1]")
+        if (
+            edges.ndim != 1
+            or edges.size != q.shape[2] + 1
+            or not np.all(np.isfinite(edges))
+            or np.any(np.diff(edges) <= 0)
+        ):
+            raise ValidationError("kernel.bin_edges must be finite and increasing with num_bins + 1 entries")
+        if not np.all((q >= 0) & (q <= 1)):
+            raise ValidationError("kernel.probabilities must be finite and lie in [0, 1]")
         col_sums = q.sum(axis=0)
         if np.any(np.abs(col_sums - 1.0) > 1e-12):
             raise ValidationError("kernel.probabilities must sum to 1 over theta_next for every (theta, bin)")
@@ -113,22 +117,6 @@ class TransitionKernel:
 
 
 @dataclass(frozen=True)
-class MeanFieldState:
-    """Type distribution at one slot."""
-
-    rho: np.ndarray  # (T,)
-    t: int
-
-    def __post_init__(self):
-        rho = _frozen_array(self.rho)
-        if rho.ndim != 1 or np.any(rho < -1e-15) or abs(float(rho.sum()) - 1.0) > 1e-12:
-            raise ValidationError("state distribution must be a simplex vector")
-        object.__setattr__(self, "rho", rho)
-        if self.t < 0:
-            raise ValidationError("slot index must be nonnegative")
-
-
-@dataclass(frozen=True)
 class DynamicScenario:
     """Markov-type problem: static core (single zeta, identity influence),
     kernel, discount, truncation horizon, and initial distribution."""
@@ -152,14 +140,16 @@ class DynamicScenario:
             raise ValidationError("discount must lie strictly inside (0, 1)")
         if not isinstance(self.horizon, (int, np.integer)) or self.horizon < 1:
             raise ValidationError("horizon must be a positive integer")
+        if not (math.isfinite(self.truncation_tol) and self.truncation_tol > 0):
+            raise ValidationError(f"truncation_tol must be finite and positive, got {self.truncation_tol!r}")
         if self.discount**self.horizon > self.truncation_tol:
             raise ValidationError(
                 f"horizon too short: discount**horizon = {self.discount**self.horizon:.3e} "
                 f"exceeds the truncation tolerance {self.truncation_tol:.1e}"
             )
         rho0 = _frozen_array(self.rho0)
-        if rho0.shape != (s.type_space.num_theta,) or np.any(rho0 < 0) or abs(float(rho0.sum()) - 1.0) > 1e-12:
-            raise ValidationError("rho0 must be a simplex vector over the utility types")
+        if rho0.shape != (s.type_space.num_theta,) or not _is_simplex(rho0, 0.0):
+            raise ValidationError("rho0 must be a finite simplex vector over the utility types")
         object.__setattr__(self, "rho0", rho0)
 
     @property
@@ -219,6 +209,11 @@ class DynamicIncentiveRow:
     slot: SlotOutcome
 
 
+def _is_simplex(rho: np.ndarray, floor: float) -> bool:
+    """Whether every entry is finite and at least ``floor``, summing to one within 1e-12."""
+    return bool(np.all(np.isfinite(rho)) and np.all(rho >= floor) and abs(float(rho.sum()) - 1.0) <= 1e-12)
+
+
 def _per_type_allocations(z, num_types: int) -> np.ndarray:
     """Coerce ``z`` to one row per type, keeping only the binned resource."""
     arr = np.asarray(z, dtype=float)
@@ -229,23 +224,26 @@ def _per_type_allocations(z, num_types: int) -> np.ndarray:
     raise ValidationError("one allocation per type is required")
 
 
-def mean_field_step(state: MeanFieldState, z, kernel: TransitionKernel) -> MeanFieldState:
-    """Deterministic population flow: one kernel application per type mass."""
-    rho = state.rho
+def mean_field_step(rho, z, kernel: TransitionKernel) -> np.ndarray:
+    """Deterministic population flow: one kernel application per type mass of
+    the distribution ``rho``."""
+    rho = np.asarray(rho, dtype=float)
+    if rho.ndim != 1 or not _is_simplex(rho, -1e-15):
+        raise ValidationError("state distribution must be a finite simplex vector")
     bins = kernel.bin_of(_per_type_allocations(z, rho.size))
     q_cols = kernel.probabilities[:, np.arange(rho.size), bins]  # (T', T)
-    return MeanFieldState(rho=q_cols @ rho, t=state.t + 1)
+    return q_cols @ rho
 
 
 def mean_field_step_monte_carlo(
-    state: MeanFieldState,
+    rho,
     z,
     kernel: TransitionKernel,
     num_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Empirical next-slot distribution from independent sampled transitions."""
-    rho = state.rho
+    rho = np.asarray(rho, dtype=float)
     bins = kernel.bin_of(_per_type_allocations(z, rho.size))
     counts = rng.multinomial(num_samples, rho)
     next_counts = np.zeros(rho.size, dtype=np.int64)
@@ -264,12 +262,10 @@ def _rollout(dyn: DynamicScenario, allocate):
     allocations = np.empty((dyn.horizon, dyn.num_types, num_res))
     prices = np.empty((dyn.horizon, num_res))
     rho_path = np.empty((dyn.horizon + 1, dyn.num_types))
-    state = MeanFieldState(rho=dyn.rho0, t=0)
-    rho_path[0] = state.rho
+    rho_path[0] = dyn.rho0
     for t in range(dyn.horizon):
-        allocations[t], prices[t] = allocate(state.rho)
-        state = mean_field_step(state, allocations[t], dyn.kernel)
-        rho_path[t + 1] = state.rho
+        allocations[t], prices[t] = allocate(rho_path[t])
+        rho_path[t + 1] = mean_field_step(rho_path[t], allocations[t], dyn.kernel)
     return allocations, prices, rho_path
 
 

@@ -152,9 +152,10 @@ def incentive_gap(
                 dev = opponent_counts.copy()
             dev[report_idx] += 1
             solution = solve_weighted(scenario, dev / num_agents, scenario.capacities)
-        probe = Profile(ts, np.array([truth_idx]), np.array([report_idx]))
+        probe = np.zeros((num_types, num_types), dtype=int)
+        probe[truth_idx, report_idx] = 1
         outcome = shadow_price_outcome(
-            probe, scenario, solution.z, solution.p, solution.constraint_slack, mean_field=True
+            Profile(ts, probe), scenario, solution.z, solution.p, solution.constraint_slack, mean_field=True
         )
         return float(outcome.cell_payoffs[0])
 

@@ -16,10 +16,10 @@ its prices it is the one superimposable payment rule, shared by
 :func:`large_scale_vcg`, the distributed algorithm's overlay and the
 incentive probes.
 
-Populations arrive as a :class:`~lsvcg.model.Profile`.  Agents of one
-(true type, report) cell receive the same allocation, payment and payoff, so
-every rule computes once per occupied cell (at most ``R**2`` cells for ``R``
-types) and per-agent arrays are scattered from the cell arrays on first use.
+Populations arrive as a :class:`~lsvcg.model.Profile` of head counts.
+Agents of one (true type, report) cell receive the same allocation, payment
+and payoff, so every rule computes once per occupied cell (at most ``R**2``
+cells for ``R`` types), whatever the head count.
 
 Capacity conventions.  With an explicit agent list, ``scenario.capacities``
 are totals shared by those agents (matching :func:`~lsvcg.solver.solve_agent_list`),
@@ -31,7 +31,6 @@ is ``beta * C_n``, and prices are independent of any single agent's report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -61,9 +60,9 @@ class Outcome:
     """Results of one mechanism run, held per occupied cell of ``profile``.
 
     Row ``c`` of the ``cell_*`` arrays belongs to ``profile.cells`` entry
-    ``c``.  ``allocations``, ``payments`` and ``payoffs`` are the per-agent
-    views.  Payoffs are always computed against *true* utility types:
-    ``payoffs[i] == utility(true theta_i, allocations[i]) - payments[i]``.
+    ``c``, and every agent of that cell receives it.  Payoffs are always
+    computed against *true* utility types: ``cell_payoffs[c] ==
+    utility(true theta_c, cell_allocations[c]) - cell_payments[c]``.
     """
 
     profile: Profile
@@ -78,23 +77,6 @@ class Outcome:
     def __post_init__(self):
         for name in ("cell_allocations", "cell_payments", "cell_payoffs", "prices", "constraint_slack"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-
-    def _per_agent(self, cell_values: np.ndarray) -> np.ndarray:
-        values = cell_values[self.profile.cells.of_agent]
-        values.setflags(write=False)
-        return values
-
-    @cached_property
-    def allocations(self) -> np.ndarray:  # (I, N)
-        return self._per_agent(self.cell_allocations)
-
-    @cached_property
-    def payments(self) -> np.ndarray:  # (I,)
-        return self._per_agent(self.cell_payments)
-
-    @cached_property
-    def payoffs(self) -> np.ndarray:  # (I,)
-        return self._per_agent(self.cell_payoffs)
 
 
 def _cell_loads(scenario: Scenario, cell_true: np.ndarray, cell_allocations: np.ndarray) -> np.ndarray:
@@ -240,19 +222,19 @@ def budget_audit(outcome: Outcome, scenario: Scenario) -> tuple[float, float]:
     With every capacity binding the prediction is
     ``sum_n p_n * (1 - beta) * C_n``; with slack it falls back to the
     observed-load form ``sum_n p_n * (sum_i f_i - beta * C_n)``.  Both sums
-    run over agents, not cells, so they round as a per-agent sum does.
+    over agents are head-count-weighted sums over cells.
     """
     if outcome.mean_field:
         raise ValidationError("budget audit applies to finite outcomes; mean-field rows are measure-zero probes")
-    total = float(np.sum(outcome.payments))
+    cells = outcome.profile.cells
+    total = float(cells.counts @ outcome.cell_payments)
     caps = scenario.capacities
     binding = np.all(np.abs(outcome.constraint_slack) <= 1e-7 * np.maximum(caps, 1.0))
     if binding:
         predicted = float(outcome.prices @ ((1.0 - outcome.beta) * caps))
     else:
-        cells = outcome.profile.cells
-        loads = _cell_loads(scenario, cells.true_idx, outcome.cell_allocations)[cells.of_agent]
-        predicted = float(outcome.prices @ (loads.sum(axis=0) - outcome.beta * caps))
+        loads = cells.counts @ _cell_loads(scenario, cells.true_idx, outcome.cell_allocations)
+        predicted = float(outcome.prices @ (loads - outcome.beta * caps))
     return total, predicted
 
 
@@ -262,7 +244,7 @@ def ir_audit(outcome: Outcome) -> float:
 
 
 def shadow_payment_gap(profile: Profile, scenario: Scenario) -> np.ndarray:
-    """Per-agent |exact-VCG payment - shadow-price payment| for a profile.
+    """Per-cell |exact-VCG payment - shadow-price payment| for a profile.
 
     The shadow payment is ``sum_n lambda_n f_true(x_n)`` at the head-count
     optimum; under truth-telling the gap shrinks as the population grows,
@@ -271,7 +253,7 @@ def shadow_payment_gap(profile: Profile, scenario: Scenario) -> np.ndarray:
     exact = vcg_exact(profile, scenario)
     cells = profile.cells
     shadow = _cell_loads(scenario, cells.true_idx, exact.cell_allocations) @ exact.prices
-    return np.abs(exact.cell_payments - shadow)[cells.of_agent]
+    return np.abs(exact.cell_payments - shadow)
 
 
 def outcome_cell_rows(outcome: Outcome) -> list[dict]:
@@ -297,6 +279,7 @@ def outcome_cell_rows(outcome: Outcome) -> list[dict]:
 
 
 def outcome_rows(outcome: Outcome) -> list[dict]:
-    """Flat record per agent for table export."""
+    """Flat record per agent for table export, agents numbered cell by cell."""
     cell_rows = outcome_cell_rows(outcome)
-    return [{"id": i, **cell_rows[c]} for i, c in enumerate(outcome.profile.cells.of_agent.tolist())]
+    agent_cells = np.repeat(np.arange(len(cell_rows)), outcome.profile.cells.counts)
+    return [{"id": i, **cell_rows[c]} for i, c in enumerate(agent_cells.tolist())]

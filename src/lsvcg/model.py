@@ -15,9 +15,9 @@ strictly increasing and strictly concave, the influence increasing and
 convex with f(0) = 0 and f' bounded below by the linear coefficient.
 
 Flattened type indices are row-major: ``r = theta * num_zeta + zeta``.
-A :class:`Profile` holds a population of agents as two arrays of flat
-indices (true type and announced type), so that the mechanisms work once per
-(true type, report) *cell* rather than once per agent.
+A :class:`Profile` holds a population of agents as head counts per
+(true type, announced type) *cell*, so that the mechanisms work once per
+cell rather than once per agent.
 All model objects are immutable after construction.
 """
 
@@ -199,47 +199,39 @@ def _flat_types(pairs: Sequence, type_space: TypeSpace) -> np.ndarray:
 
 
 class Cells(NamedTuple):
-    """The occupied (true type, report) cells of a profile, in flat cell order."""
+    """The occupied (true type, report) cells of a profile, in row-major order."""
 
     true_idx: np.ndarray  # (C,) true type of each cell
     report_idx: np.ndarray  # (C,) announced type of each cell
     counts: np.ndarray  # (C,) agents in each cell
-    of_agent: np.ndarray  # (I,) cell of each agent
 
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    """A population of agents held as per-agent flat type indices.
+    """A population of agents held as head counts per (true type, report) cell.
 
-    Agent ``i`` has true type ``true_idx[i]`` and announces (reports, or
-    impersonates in the distributed algorithm) type ``report_idx[i]``.
-    Agents sharing a (true type, report) cell are treated identically by
-    every mechanism, so results are computed once per occupied cell and
-    scattered to agents with ``cells.of_agent``.
+    ``counts[t, r]`` agents of true flat type ``t`` announce (report, or
+    impersonate in the distributed algorithm) flat type ``r``.  Agents of one
+    cell are treated identically by every mechanism, so results are computed
+    once per occupied cell, in the row-major order of ``cells``.
     """
 
     type_space: TypeSpace
-    true_idx: np.ndarray  # (I,) int
-    report_idx: np.ndarray  # (I,) int
+    counts: np.ndarray  # (R, R) int
 
     def __post_init__(self):
         num_types = self.type_space.num_types
-        for name in ("true_idx", "report_idx"):
-            arr = np.asarray(getattr(self, name))
-            if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-                raise ValidationError(f"profile {name} must be a 1-D integer array")
-            if arr.size and (arr.min() < 0 or arr.max() >= num_types):
-                raise ValidationError(f"profile {name} holds a flat type index outside the type space")
-            object.__setattr__(self, name, _frozen_array(arr, dtype=np.intp))
-        if self.true_idx.size != self.report_idx.size:
-            raise ValidationError("profile true_idx and report_idx must have equal length")
+        counts = np.asarray(self.counts)
+        if counts.shape != (num_types, num_types) or counts.dtype.kind not in "iu":
+            raise ValidationError(f"profile counts must be a ({num_types}, {num_types}) integer matrix")
+        if np.any(counts < 0):
+            raise ValidationError("profile counts must be nonnegative")
+        object.__setattr__(self, "counts", _frozen_array(counts, dtype=np.int64))
 
     @classmethod
     def truthful(cls, population: Population, type_space: TypeSpace) -> Profile:
-        """Every agent of a finite population reporting its own type, grouped by
-        flat type in increasing order."""
-        idx = np.repeat(np.arange(type_space.num_types), population.counts())
-        return cls(type_space, idx, idx)
+        """Every agent of a finite population reporting its own type."""
+        return cls(type_space, np.diag(population.counts()))
 
     @classmethod
     def from_agents(
@@ -252,37 +244,46 @@ class Profile:
         (announced pairs, one per agent) defaults to the truth."""
         true_idx = _flat_types(true_types, type_space)
         if reports is None:
-            return cls(type_space, true_idx, true_idx)
-        if len(reports) != len(true_types):
+            report_idx = true_idx
+        elif len(reports) != len(true_types):
             raise ValidationError("reports and true_types must have equal length")
-        report_idx = _flat_types(reports, type_space)
-        return cls(type_space, true_idx, report_idx)
+        else:
+            report_idx = _flat_types(reports, type_space)
+        num_types = type_space.num_types
+        flat = np.bincount(true_idx * num_types + report_idx, minlength=num_types * num_types)
+        return cls(type_space, flat.reshape(num_types, num_types))
 
     @property
     def num_agents(self) -> int:
-        return int(self.true_idx.size)
+        return int(self.counts.sum())
 
-    def with_report(self, agent: int, report: tuple[int, int]) -> Profile:
-        """Copy in which ``agent`` announces the ``(theta, zeta)`` pair ``report``
-        and everyone else is unchanged."""
-        reports = self.report_idx.copy()
-        reports[agent] = self.type_space.flat_index(*report)
-        return Profile(self.type_space, self.true_idx, reports)
+    def with_report(self, true_type: tuple[int, int], report: tuple[int, int]) -> Profile:
+        """Copy in which one truthful agent of ``true_type`` announces ``report``
+        instead: it moves from cell (true_type, true_type) to (true_type, report)."""
+        t = self.type_space.flat_index(*true_type)
+        if self.counts[t, t] == 0:
+            raise ValidationError(f"no agent of type {tuple(true_type)} reports truthfully")
+        counts = self.counts.copy()
+        counts[t, t] -= 1
+        counts[t, self.type_space.flat_index(*report)] += 1
+        return Profile(self.type_space, counts)
+
+    def cell_index(self, true_type: tuple[int, int], report: tuple[int, int]) -> int:
+        """Position of the occupied cell (true_type, report) in ``cells``, and so
+        the row of an outcome's ``cell_*`` arrays that its agents receive."""
+        t, r = self.type_space.flat_index(*true_type), self.type_space.flat_index(*report)
+        if self.counts[t, r] == 0:
+            raise ValidationError(f"no agent of type {tuple(true_type)} announces {tuple(report)}")
+        return int(np.count_nonzero(self.counts.ravel()[: t * self.type_space.num_types + r]))
 
     @cached_property
     def cells(self) -> Cells:
-        num_types = self.type_space.num_types
-        flat = self.true_idx * num_types + self.report_idx
-        counts = np.bincount(flat, minlength=num_types * num_types)
-        occupied = np.flatnonzero(counts)
-        position = np.zeros(counts.size, dtype=np.intp)
-        position[occupied] = np.arange(occupied.size)
-        return Cells(occupied // num_types, occupied % num_types, counts[occupied], position[flat])
+        true_idx, report_idx = np.nonzero(self.counts)
+        return Cells(true_idx, report_idx, self.counts[true_idx, report_idx])
 
     def report_counts(self) -> np.ndarray:
         """Head count per announced flat type, as floats."""
-        cells = self.cells
-        return np.bincount(cells.report_idx, weights=cells.counts, minlength=self.type_space.num_types)
+        return self.counts.sum(axis=0).astype(float)
 
 
 @dataclass(frozen=True)

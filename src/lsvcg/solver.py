@@ -225,7 +225,7 @@ def solve_weighted(scenario: Scenario, weights, capacities=None) -> PrimalDualSo
         weights=weights,
         capacities=caps,
     )
-    return replace(solution, kkt_residual=kkt_residual(solution, scenario, weights))
+    return replace(solution, kkt_residual=kkt_residual(solution, scenario))
 
 
 def solve_population(scenario: Scenario, rho: Population | None = None) -> PrimalDualSolution:
@@ -257,14 +257,14 @@ def aggregate_utility(scenario: Scenario, weights, z: np.ndarray) -> float:
     return float(np.sum(weights[:, None] * w * np.log1p(z)))
 
 
-def kkt_residual(solution: PrimalDualSolution, scenario: Scenario, weights=None) -> float:
+def kkt_residual(solution: PrimalDualSolution, scenario: Scenario) -> float:
     """Exact optimality residual of a candidate primal-dual pair.
 
     Sum of three violation maxima: stationarity at interior coordinates
     (with signed one-sided checks at the clamped corners), complementary
-    slackness, and primal infeasibility.  Zero exactly at the optimum.
+    slackness, and primal infeasibility, at the solution's own weights and
+    capacities.  Zero exactly at the optimum.
     """
-    weights = solution.weights if weights is None else np.asarray(weights, dtype=float)
     z, p = solution.z, solution.p
     grad_u = scenario.type_weights() / (1.0 + z)
     grad_cost = p[None, :] * scenario.influence.slope(scenario.type_zeta(), z)
@@ -279,7 +279,7 @@ def kkt_residual(solution: PrimalDualSolution, scenario: Scenario, weights=None)
     if np.any(at_cap):
         stationarity = max(stationarity, float(np.max(np.maximum(-diff[at_cap], 0.0))))
 
-    load = weights @ _influence_matrix(scenario, z)
+    load = solution.weights @ _influence_matrix(scenario, z)
     slack = solution.capacities - load
     complementarity = float(np.max(np.abs(p * slack))) if slack.size else 0.0
     infeasibility = float(np.max(np.maximum(-slack, 0.0)))

@@ -12,8 +12,8 @@ Payments are superimposed afterwards: they read only the algorithm's outputs
 contains no mechanism code and any allocation algorithm with the same
 outputs yields bit-identical payments.  Deviations are modeled as
 type-impersonation: a deviating agent replies with some other type's demand
-in every round.  A :class:`~lsvcg.model.Profile` holds each agent's true
-type and the type it impersonates (its report), and agents sharing both
+in every round.  A :class:`~lsvcg.model.Profile` counts the agents of each
+true type that impersonate each type (their report), and agents sharing both
 behave identically, so the loop and the overlay work per group and per cell.
 """
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +40,7 @@ __all__ = [
 
 def obedient_actions(profile: Profile) -> Profile:
     """The profile in which every agent obeys: it replies as its own type."""
-    return Profile(profile.type_space, profile.true_idx, profile.true_idx)
+    return Profile(profile.type_space, np.diag(profile.counts.sum(axis=1)))
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class AlgorithmTrace:
     replies are recoverable from the group structure (agents sharing a true
     zeta and an impersonated type behave identically), so they are not stored
     per round.  ``final_menu`` is every type's reply at the final prices;
-    agent ``i`` receives row ``profile.report_idx[i]`` of it.
+    an agent receives the row of the type it reports.
     """
 
     round_prices: np.ndarray  # (rounds, N)
@@ -88,12 +87,6 @@ class AlgorithmTrace:
     def __post_init__(self):
         for name in ("round_prices", "round_demand", "final_prices", "final_menu", "final_excess"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-
-    @cached_property
-    def final_allocations(self) -> np.ndarray:  # (I, N)
-        allocations = self.final_menu[self.profile.report_idx]
-        allocations.setflags(write=False)
-        return allocations
 
 
 def _default_gamma0(scenario: Scenario) -> float:
@@ -203,12 +196,12 @@ def obedience_check(
         raise ValidationError("num_agents times every population share must be integral")
     profile = obedient_actions(Profile.truthful(Population(shares=shares, num_agents=num_agents), ts))
     own = ts.flat_index(*deviator_type)
-    deviator = int(np.argmax(profile.true_idx == own))
 
     def deviator_payoff(impersonated: int) -> float:
-        deviation = profile.with_report(deviator, ts.unflatten(impersonated))
-        trace = run_algorithm(deviation, scenario, config)
-        return float(superimposed_outcome(trace, scenario).payoffs[deviator])
+        report = ts.unflatten(impersonated)
+        deviation = profile.with_report(deviator_type, report)
+        outcome = superimposed_outcome(run_algorithm(deviation, scenario, config), scenario)
+        return float(outcome.cell_payoffs[deviation.cell_index(deviator_type, report)])
 
     obedient = deviator_payoff(own)
     best_dev = -math.inf

@@ -27,7 +27,7 @@ from lsvcg.generate import (
     rng_for,
     scale_capacity,
 )
-from lsvcg.dynamic import MeanFieldState, dynamic_incentive_gap, mean_field_step, mean_field_step_monte_carlo, plan_policy
+from lsvcg.dynamic import dynamic_incentive_gap, mean_field_step, mean_field_step_monte_carlo, plan_policy
 from lsvcg.incentives import decays_quadratically, loglog_slope, verify_incentive_bound
 from lsvcg.mechanisms import budget_audit, ir_audit, large_scale_vcg, shadow_payment_gap
 from lsvcg.model import Population, Profile
@@ -335,8 +335,8 @@ def test_criterion_8_obedience_and_fixed_point():
         central, _ = lsvcg.solve_agent_list(assignments, scenario)
         worst_price_err = max(worst_price_err, float(np.max(np.abs(trace.final_prices - central.p))))
         menu_err = max(
-            float(np.max(np.abs(trace.final_allocations[i] - central.z[scenario.type_space.flat_index(*t)])))
-            for i, t in enumerate(assignments)
+            float(np.max(np.abs(trace.final_menu[r] - central.z[r])))
+            for r in (scenario.type_space.flat_index(*t) for t in assignments)  # every agent reports its type
         )
         worst_alloc_err = max(worst_alloc_err, menu_err)
         for r in range(scenario.type_space.num_types):
@@ -379,10 +379,9 @@ def test_criterion_9_dynamic_reductions_and_bounds(dynamic_gap_sweep):
     bounds_hold = all(row.holds for rows in per_i.values() for row in rows)
 
     rng = rng_for(SEED, 9)
-    state = MeanFieldState(rho=dyn.rho0, t=0)
     z0 = policy.allocations[0]
-    exact = mean_field_step(state, z0, dyn.kernel).rho
-    empirical = mean_field_step_monte_carlo(state, z0, dyn.kernel, 1_000_000, rng)
+    exact = mean_field_step(dyn.rho0, z0, dyn.kernel)
+    empirical = mean_field_step_monte_carlo(dyn.rho0, z0, dyn.kernel, 1_000_000, rng)
     tv = 0.5 * float(np.abs(exact - empirical).sum())
     elapsed_total = elapsed + (time.perf_counter() - started)
     _report(

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -91,11 +92,23 @@ def test_undecodable_document_exits_2(subcommand, blob, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    ("field", "value", "message"), [("kernel", 5, "kernel.probabilities"), ("horizon", 20.0, "horizon")]
+    ("field", "value", "message"),
+    [
+        ("kernel", 5, "kernel.probabilities"),
+        ("horizon", 20.0, "horizon"),
+        ("rho0", [math.nan, 1.0], "rho0"),
+        ("kernel.probabilities.0.0.0", math.nan, "kernel.probabilities"),
+        ("kernel.bin_edges.1", math.nan, "kernel.bin_edges"),
+        ("truncation_tol", math.nan, "truncation_tol"),
+    ],
 )
 def test_dynamic_document_with_a_malformed_field_exits_2(field, value, message, tmp_path, capsys):
     doc = json.loads((SCENARIOS / "dynamic.json").read_text())
-    doc[field] = value
+    *parents, last = field.split(".")  # a dotted path; numeric parts index lists
+    node = doc
+    for key in parents:
+        node = node[int(key) if isinstance(node, list) else key]
+    node[int(last) if isinstance(node, list) else last] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert _run("dynamic", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2

@@ -4,7 +4,6 @@ import pytest
 import lsvcg.solver
 from lsvcg.dynamic import (
     DynamicScenario,
-    MeanFieldState,
     TransitionKernel,
     dynamic_incentive_gap,
     dynamic_mechanism_step,
@@ -31,34 +30,30 @@ def test_kernel_validation():
 
 def test_identity_kernel_freezes_distribution():
     dyn = dynamic_benchmark(kernel="identity")
-    state = MeanFieldState(rho=dyn.rho0, t=0)
     z = np.full((2, 1), 0.5)
-    stepped = mean_field_step(state, z, dyn.kernel)
-    assert np.array_equal(stepped.rho, dyn.rho0)
-    assert stepped.t == 1
+    stepped = mean_field_step(dyn.rho0, z, dyn.kernel)
+    assert np.array_equal(stepped, dyn.rho0)
 
 
 def test_uniform_kernel_forgets_distribution():
     kernel = TransitionKernel(probabilities=np.full((2, 2, 1), 0.5), bin_edges=[0.0, 10.0])
     for rho in ([0.9, 0.1], [0.2, 0.8]):
-        state = MeanFieldState(rho=rho, t=0)
-        stepped = mean_field_step(state, np.full((2, 1), 1.0), kernel)
-        assert np.allclose(stepped.rho, [0.5, 0.5])
+        stepped = mean_field_step(rho, np.full((2, 1), 1.0), kernel)
+        assert np.allclose(stepped, [0.5, 0.5])
 
 
 def test_step_rejects_out_of_range_allocation():
     kernel = TransitionKernel(probabilities=np.eye(2)[:, :, None], bin_edges=[0.0, 1.0])
     with pytest.raises(ValidationError, match="bin range"):
-        mean_field_step(MeanFieldState(rho=[0.5, 0.5], t=0), np.full((2, 1), 2.0), kernel)
+        mean_field_step([0.5, 0.5], np.full((2, 1), 2.0), kernel)
 
 
 def test_flow_matches_monte_carlo():
     rng = rng_for(31, 0)
     dyn = dynamic_benchmark(kernel="allocation", discount=0.3, num_bins=4)
-    state = MeanFieldState(rho=dyn.rho0, t=0)
     z = np.array([[1.2], [3.4]])
-    exact = mean_field_step(state, z, dyn.kernel).rho
-    empirical = mean_field_step_monte_carlo(state, z, dyn.kernel, 1_000_000, rng)
+    exact = mean_field_step(dyn.rho0, z, dyn.kernel)
+    empirical = mean_field_step_monte_carlo(dyn.rho0, z, dyn.kernel, 1_000_000, rng)
     assert 0.5 * np.abs(exact - empirical).sum() <= 3e-3
 
 
@@ -162,7 +157,7 @@ def test_slot_reduces_to_static_mechanism_for_independent_kernel():
 
     static = replace(dyn.static, population=Population(shares=dyn.rho0, num_agents=None))
     outcome = large_scale_vcg(Profile.from_agents(probes, ts), static, report_distribution=dyn.rho0)
-    assert np.allclose(slot.z, outcome.allocations, atol=1e-6)
+    assert np.allclose(slot.z, outcome.cell_allocations, atol=1e-6)  # probe r is cell r
     assert np.allclose(slot.p, outcome.prices, atol=1e-6)
 
 
@@ -306,16 +301,16 @@ def test_switching_oracle_keeps_a_constant_plan_above_myopic(discount):
 def test_switching_plan_follows_its_own_flow_and_continuation(mode):
     dyn = dynamic_benchmark(kernel="switching", discount=0.5)
     policy = plan_policy(dyn, mode)
-    state = MeanFieldState(rho=dyn.rho0, t=0)
+    rho = dyn.rho0
     types = np.arange(dyn.num_types)
     w = dyn.static.utility.weights
     for t in range(dyn.horizon):
-        assert np.array_equal(policy.rho_path[t], state.rho)
-        state = mean_field_step(state, policy.allocations[t], dyn.kernel)
+        assert np.array_equal(policy.rho_path[t], rho)
+        rho = mean_field_step(rho, policy.allocations[t], dyn.kernel)
         bins = dyn.kernel.bin_of(policy.allocations[t][:, 0])
         inst = np.sum(w * np.log1p(policy.allocations[t]), axis=1)
         assert np.array_equal(policy.value_table[t], inst + policy.continuation[t, types, bins])
-    assert np.array_equal(policy.rho_path[dyn.horizon], state.rho)
+    assert np.array_equal(policy.rho_path[dyn.horizon], rho)
 
 
 @pytest.mark.xfail(strict=True, raises=SolverError, reason="demand jumps where a type's best bin switches")

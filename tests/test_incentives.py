@@ -66,8 +66,8 @@ def test_frozen_gaps_are_mechanism_payoff_differences(bench_incentive):
     report = incentive_gap(scenario, scenario.population, None)
 
     def probe_payoff(truth: int, announced: int) -> float:
-        probe = Profile(ts, np.array([truth]), np.array([announced]))
-        return float(large_scale_vcg(probe, scenario, report_distribution=scenario.population).payoffs[0])
+        probe = Profile.from_agents([ts.unflatten(truth)], ts, [ts.unflatten(announced)])
+        return float(large_scale_vcg(probe, scenario, report_distribution=scenario.population).cell_payoffs[0])
 
     for r in range(ts.num_types):
         gains = {ts.unflatten(alt): probe_payoff(r, alt) - probe_payoff(r, r) for alt in range(ts.num_types) if alt != r}

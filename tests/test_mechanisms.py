@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ from lsvcg.model import (
 from lsvcg.solver import solve_agent_list
 
 
+def _agent_values(outcome, values, agents, reports=None):
+    """``values`` (one per cell of ``outcome``) read at each agent's (true type, report) cell."""
+    reports = agents if reports is None else reports
+    return np.array([values[outcome.profile.cell_index(a, r)] for a, r in zip(agents, reports)])
+
+
 def _two_agent_scenario():
     return Scenario(
         type_space=TypeSpace(1, 1, 1),
@@ -48,17 +55,17 @@ def _two_agent_scenario():
 
 def test_single_agent_pays_nothing(bench1):
     outcome = vcg_exact(Profile.from_agents([(0, 0)], bench1.type_space), bench1)
-    assert outcome.payments[0] == 0.0
-    assert outcome.payoffs[0] == pytest.approx(math.log(2.0))
+    assert outcome.cell_payments[0] == 0.0
+    assert outcome.cell_payoffs[0] == pytest.approx(math.log(2.0))
 
 
 def test_two_identical_agents_closed_form_payment():
     scenario = _two_agent_scenario()
     assignments = [(0, 0), (0, 0)]
     outcome = vcg_exact(Profile.from_agents(assignments, scenario.type_space), scenario)
-    assert np.allclose(outcome.allocations, 1.0, atol=1e-10)
+    assert np.allclose(_agent_values(outcome, outcome.cell_allocations, assignments), 1.0, atol=1e-10)
     expected = math.log(3.0) - math.log(2.0)  # lone-agent optimum minus share at the joint one
-    assert outcome.payments == pytest.approx([expected, expected], abs=1e-9)
+    assert _agent_values(outcome, outcome.cell_payments, assignments) == pytest.approx([expected, expected], abs=1e-9)
 
 
 def test_scale_guard():
@@ -89,7 +96,7 @@ def test_truth_is_dominant_in_exhaustive_sweep():
             for own in reports_set:
                 profile = Profile.from_agents([deviator_true] + true_types[1:], scenario.type_space, [own] + opponents)
                 outcome = vcg_exact(profile, scenario)
-                payoffs[own] = outcome.payoffs[0]
+                payoffs[own] = outcome.cell_payoffs[profile.cell_index(deviator_true, own)]
             truthful = payoffs[deviator_true]
             assert truthful >= max(payoffs.values()) - 1e-9
 
@@ -102,9 +109,10 @@ def test_truthful_run_solves_reported_program(bench_gap):
     assignments = replicate_assignments(bench_gap.population.shares, 8, bench_gap.type_space)
     outcome = large_scale_vcg(Profile.from_agents(assignments, scenario.type_space), scenario)
     sol, pop = solve_agent_list(assignments, scenario)
+    allocations = _agent_values(outcome, outcome.cell_allocations, assignments)
     for i, (theta, zeta) in enumerate(assignments):
         r = scenario.type_space.flat_index(theta, zeta)
-        assert np.allclose(outcome.allocations[i], sol.z[r], atol=1e-12)
+        assert np.allclose(allocations[i], sol.z[r], atol=1e-12)
     assert np.allclose(outcome.prices, sol.p, atol=1e-12)
     assert sol.kkt_residual <= 1e-8
 
@@ -120,6 +128,20 @@ def test_budget_identity_binding(beta, rng):
     assert predicted == pytest.approx(expected)
     if beta == 1.0:
         assert abs(total) <= 1e-8
+
+
+def test_shadow_price_mechanism_costs_o_types_at_any_head_count(bench_incentive):
+    # 10**12 agents held as four head counts: nothing may be sized by the head count
+    from dataclasses import replace
+
+    num_agents = 10**12
+    population = Population(bench_incentive.population.shares, num_agents)
+    scenario = scale_capacity(replace(bench_incentive, population=population), num_agents)
+    started = time.perf_counter()
+    outcome = large_scale_vcg(Profile.truthful(population, scenario.type_space), scenario)
+    total, predicted = budget_audit(outcome, scenario)
+    assert time.perf_counter() - started < 1.0
+    assert abs(total - predicted) <= 1e-12 * abs(predicted)
 
 
 def test_budget_audit_slack_fallback(bench1):
@@ -146,7 +168,7 @@ def test_weak_budget_balance_across_beta(rng):
         )
         assignments = replicate_assignments(scenario.population.shares, 8, scenario.type_space)
         outcome = large_scale_vcg(Profile.from_agents(assignments, scenario.type_space), scenario)
-        assert float(np.sum(outcome.payments)) >= -1e-9
+        assert float(np.sum(_agent_values(outcome, outcome.cell_payments, assignments))) >= -1e-9
 
 
 def test_individual_rationality_truthful(rng):
@@ -161,23 +183,29 @@ def test_payoff_accounting_is_exact(rng):
     scenario = random_scenario(rng, num_theta=2, num_zeta=2, num_resources=1, num_agents=8)
     assignments = replicate_assignments(scenario.population.shares, 8, scenario.type_space)
     # one misreport; payoffs must still use true types
-    profile = Profile.from_agents(assignments, scenario.type_space).with_report(0, (1, 1))
+    profile = Profile.from_agents(assignments, scenario.type_space).with_report(assignments[0], (1, 1))
     outcome = large_scale_vcg(profile, scenario)
+    reports = [(1, 1)] + assignments[1:]
+    allocations = _agent_values(outcome, outcome.cell_allocations, assignments, reports)
+    payments = _agent_values(outcome, outcome.cell_payments, assignments, reports)
+    payoffs = _agent_values(outcome, outcome.cell_payoffs, assignments, reports)
     for i, (theta, _) in enumerate(assignments):
-        expected = utility_value(scenario.utility, theta, outcome.allocations[i]) - outcome.payments[i]
-        assert outcome.payoffs[i] == expected
+        expected = utility_value(scenario.utility, theta, allocations[i]) - payments[i]
+        assert payoffs[i] == expected
 
 
 def test_equal_treatment_of_equal_reports(rng):
     scenario = random_scenario(rng, num_theta=2, num_zeta=1, num_resources=1, num_agents=8)
     assignments = replicate_assignments(scenario.population.shares, 8, scenario.type_space)
     outcome = large_scale_vcg(Profile.from_agents(assignments, scenario.type_space), scenario)
-    reports = outcome.profile.report_idx
+    reports = assignments  # everyone reports truthfully
+    allocations = _agent_values(outcome, outcome.cell_allocations, assignments, reports)
+    payments = _agent_values(outcome, outcome.cell_payments, assignments, reports)
     for i, ri in enumerate(reports):
         for j, rj in enumerate(reports):
             if ri == rj and assignments[i] == assignments[j]:
-                assert np.array_equal(outcome.allocations[i], outcome.allocations[j])
-                assert outcome.payments[i] == outcome.payments[j]
+                assert np.array_equal(allocations[i], allocations[j])
+                assert payments[i] == payments[j]
 
 
 def test_payments_invariant_under_agent_permutation(rng):
@@ -187,7 +215,10 @@ def test_payments_invariant_under_agent_permutation(rng):
     perm = list(rng.permutation(len(assignments)))
     shuffled = [assignments[k] for k in perm]
     outcome_perm = large_scale_vcg(Profile.from_agents(shuffled, scenario.type_space), scenario)
-    assert np.array_equal(outcome_perm.payments, outcome.payments[perm])
+    assert np.array_equal(
+        _agent_values(outcome_perm, outcome_perm.cell_payments, shuffled),
+        _agent_values(outcome, outcome.cell_payments, assignments)[perm],
+    )
 
 
 def test_mean_field_truth_dominates_menu(rng):
@@ -209,7 +240,9 @@ def test_mean_field_truth_dominates_menu(rng):
                     scenario,
                     report_distribution=scenario.population,
                 )
-                assert truthful.payoffs[r] >= dev.payoffs[0] - 1e-9
+                assert truthful.cell_payoffs[truthful.profile.cell_index(true_type, true_type)] >= (
+                    dev.cell_payoffs[0] - 1e-9
+                )
 
 
 # -- exact-versus-shadow payment convergence -------------------------------------

@@ -272,7 +272,7 @@ def test_results_leave_the_callers_arrays_writable(bench1):
     solution = solve_weighted(bench1, weights, capacities)
     prices, slack = np.array(solution.p), np.array(solution.constraint_slack)
     menu = np.array(solution.z)
-    probe = Profile(bench1.type_space, np.array([0]), np.array([0]))
+    probe = Profile(bench1.type_space, np.array([[1]]))
     outcome = shadow_price_outcome(probe, bench1, menu, prices, slack, mean_field=True)
     for arr in (weights, capacities, prices, slack, menu):
         arr[0] = arr[0]  # raises if a result froze the caller's array

@@ -20,30 +20,35 @@ def test_truthful_profile_matches_replicated_agent_order():
     population = Population(shares=[0.4, 0.2, 0.1, 0.3], num_agents=20)
     profile = Profile.truthful(population, ts)
     explicit = Profile.from_agents(replicate_assignments(population.shares, 20, ts), ts)
-    assert np.array_equal(profile.true_idx, explicit.true_idx)
-    assert np.array_equal(profile.report_idx, profile.true_idx)
+    assert np.array_equal(profile.counts, explicit.counts)
+    assert np.array_equal(profile.counts, np.diag(np.diag(profile.counts)))
     assert profile.num_agents == 20
 
 
 def test_cells_group_agents_by_true_type_and_report():
     ts = TypeSpace(2, 1, 1)
+    agents = [(1, 0), (0, 0), (1, 0), (0, 0)]
     reports = [(0, 0), (0, 0), (1, 0), (0, 0)]
-    profile = Profile.from_agents([(1, 0), (0, 0), (1, 0), (0, 0)], ts, reports)
+    profile = Profile.from_agents(agents, ts, reports)
     cells = profile.cells
+    assert profile.counts.tolist() == [[2, 0], [1, 1]]
     assert cells.true_idx.tolist() == [0, 1, 1]
     assert cells.report_idx.tolist() == [0, 0, 1]
     assert cells.counts.tolist() == [2, 1, 1]
-    assert cells.of_agent.tolist() == [1, 0, 2, 0]
+    assert [profile.cell_index(a, r) for a, r in zip(agents, reports)] == [1, 0, 2, 0]
     assert profile.report_counts().tolist() == [3.0, 1.0]
 
 
 def test_with_report_changes_one_agent_only():
     ts = TypeSpace(2, 1, 1)
     profile = Profile.from_agents([(0, 0), (1, 0), (1, 0)], ts)
-    deviant = profile.with_report(2, (0, 0))
-    assert deviant.report_idx.tolist() == [0, 1, 0]
-    assert profile.report_idx.tolist() == [0, 1, 1]
-    assert np.array_equal(deviant.true_idx, profile.true_idx)
+    deviant = profile.with_report((1, 0), (0, 0))
+    assert deviant.counts.tolist() == [[1, 0], [1, 1]]  # one agent left (1, 1) for (1, 0)
+    assert profile.counts.tolist() == [[1, 0], [0, 2]]
+    assert np.array_equal(deviant.counts.sum(axis=1), profile.counts.sum(axis=1))
+    assert deviant.with_report((1, 0), (0, 0)).counts.tolist() == [[1, 0], [2, 0]]
+    with pytest.raises(ValidationError, match="reports truthfully"):
+        deviant.with_report((1, 0), (0, 0)).with_report((1, 0), (0, 0))
 
 
 def test_profile_validation():
@@ -52,8 +57,10 @@ def test_profile_validation():
         Profile.from_agents([(0, 0), (2, 0)], ts)
     with pytest.raises(ValidationError, match="equal length"):
         Profile.from_agents([(0, 0)], ts, [(0, 0), (1, 0)])
-    with pytest.raises(ValidationError, match="outside the type space"):
-        Profile(ts, np.array([0, 2]), np.array([0, 1]))
+    with pytest.raises(ValidationError, match=r"\(2, 2\) integer matrix"):
+        Profile(ts, np.array([0, 2]))
+    with pytest.raises(ValidationError, match="nonnegative"):
+        Profile(ts, np.array([[1, 0], [-1, 2]]))
     with pytest.raises(ValidationError, match="different type spaces"):
         large_scale_vcg(Profile.from_agents([(0, 0)], TypeSpace(1, 1, 1)), random_scenario(rng_for(1), num_agents=8))
 
@@ -69,14 +76,19 @@ def test_outcome_rows_expand_cells_in_agent_order():
     scenario = random_scenario(rng_for(5), num_theta=2, num_zeta=2, num_resources=2, num_agents=8)
     ts = scenario.type_space
     agents = replicate_assignments(scenario.population.shares, 8, ts)[::-1]
-    outcome = large_scale_vcg(Profile.from_agents(agents, ts).with_report(0, (0, 1)), scenario)
+    profile = Profile.from_agents(agents, ts).with_report(agents[0], (0, 1))
+    outcome = large_scale_vcg(profile, scenario)
     rows = outcome_rows(outcome)
     assert [row["id"] for row in rows] == list(range(8))
-    for i, row in enumerate(rows):
-        assert (row["true_theta"], row["true_zeta"]) == agents[i]
-        assert [row["z_0"], row["z_1"]] == outcome.allocations[i].tolist()
-        assert row["payment"] == outcome.payments[i] and row["payoff"] == outcome.payoffs[i]
-    assert (rows[0]["report_theta"], rows[0]["report_zeta"]) == (0, 1)
+    # agents are numbered cell by cell: sorted by (true type, report)
+    reports = [(0, 1)] + agents[1:]
+    numbered = sorted(zip(agents, reports), key=lambda pair: tuple(ts.flat_index(*t) for t in pair))
+    for row, (agent, report) in zip(rows, numbered):
+        c = profile.cell_index(agent, report)
+        assert (row["true_theta"], row["true_zeta"]) == agent
+        assert (row["report_theta"], row["report_zeta"]) == report
+        assert [row["z_0"], row["z_1"]] == outcome.cell_allocations[c].tolist()
+        assert row["payment"] == outcome.cell_payments[c] and row["payoff"] == outcome.cell_payoffs[c]
 
 
 # -- property: the profile path equals the agent-by-agent computation ------------
@@ -99,14 +111,16 @@ def _report_counts(scenario, reports):
 
 
 def _check_agents(scenario, agents, reports, outcome, payment_of):
-    """Compare ``outcome`` with per-agent allocations from its prices' menu."""
+    """Compare ``outcome``, read at each agent's (true type, report) cell, with
+    per-agent allocations from its prices' menu."""
     ts = scenario.type_space
     for i, ((theta, zeta), report) in enumerate(zip(agents, reports)):
+        c = outcome.profile.cell_index((theta, zeta), report)
         x, h, scale = payment_of(i, ts.flat_index(*report), zeta)
-        assert np.array_equal(outcome.allocations[i], x)
-        assert _close(outcome.payments[i], h, scale)
+        assert np.array_equal(outcome.cell_allocations[c], x)
+        assert _close(outcome.cell_payments[c], h, scale)
         u = utility_value(scenario.utility, theta, x)
-        assert _close(outcome.payoffs[i], u - h, abs(u) + scale)
+        assert _close(outcome.cell_payoffs[c], u - h, abs(u) + scale)
 
 
 @st.composite
@@ -189,9 +203,9 @@ def test_superimposed_outcome_matches_per_agent_reference(case):
     replies = [best_response(*r, trace.round_prices[-1], scenario) for r in reports]
     demand = sum(_load(scenario, zeta, x) for (_, zeta), x in zip(agents, replies)) / len(agents)
     assert np.allclose(trace.round_demand[-1], demand, rtol=1e-12, atol=0.0)
-    for i, r in enumerate(reports):
+    for r in reports:
         assert np.array_equal(
-            trace.final_allocations[i], best_response(*r, trace.final_prices, scenario)
+            trace.final_menu[scenario.type_space.flat_index(*r)], best_response(*r, trace.final_prices, scenario)
         )
     if not trace.converged:
         with pytest.raises(ValidationError, match="unconverged"):
@@ -202,7 +216,7 @@ def test_superimposed_outcome_matches_per_agent_reference(case):
     rebate = scenario.beta * scenario.capacities / len(agents)
 
     def payment_of(i, report, zeta):
-        x = trace.final_allocations[i]
+        x = trace.final_menu[report]
         load = _load(scenario, zeta, x)
         return x, float(lam @ (load - rebate)), float(np.abs(lam) @ (np.abs(load) + rebate))
 
@@ -220,8 +234,9 @@ def test_obedience_check_equals_explicit_runs(case, data):
     def payoff(impersonated):
         reports = list(agents)
         reports[deviator] = impersonated
-        trace = run_algorithm(Profile.from_agents(agents, ts, reports), scenario, CONFIG)
-        return float(superimposed_outcome(trace, scenario).payoffs[deviator])
+        profile = Profile.from_agents(agents, ts, reports)
+        trace = run_algorithm(profile, scenario, CONFIG)
+        return float(superimposed_outcome(trace, scenario).cell_payoffs[profile.cell_index(own, impersonated)])
 
     try:
         obedient = payoff(own)

@@ -28,12 +28,18 @@ def _replicated_single_type(num_agents):
     return scenario, Profile.from_agents([(0, 0)] * num_agents, scenario.type_space)
 
 
+def _first_and_last_types(profile):
+    """True types of the first and the last agent, numbered cell by cell."""
+    present = np.flatnonzero(profile.counts.sum(axis=1))
+    return profile.type_space.unflatten(int(present[0])), profile.type_space.unflatten(int(present[-1]))
+
+
 def test_obedient_run_reaches_centralized_solution():
     scenario, profile = _replicated_single_type(50)
     trace = run_algorithm(obedient_actions(profile), scenario)
     assert trace.converged
     assert trace.final_prices[0] == pytest.approx(0.5, abs=1e-6)
-    assert np.allclose(trace.final_allocations, 1.0, atol=1e-5)
+    assert np.allclose(trace.final_menu[0], 1.0, atol=1e-5)  # every agent is of type (0, 0)
 
 
 def test_prices_stay_nonnegative_every_round():
@@ -63,8 +69,8 @@ def test_single_deviator_barely_moves_prices():
     scenario = scale_capacity(obedience_scenario(rng, num_agents=1000), 1000)
     profile = Profile.truthful(scenario.population, scenario.type_space)
     obedient = run_algorithm(obedient_actions(profile), scenario)
-    last = scenario.type_space.unflatten(int(profile.true_idx[-1]))
-    deviant = run_algorithm(profile.with_report(0, last), scenario)
+    first, last = _first_and_last_types(profile)
+    deviant = run_algorithm(profile.with_report(first, last), scenario)
     assert np.max(np.abs(deviant.final_prices - obedient.final_prices)) <= 1e-3
 
 
@@ -83,8 +89,8 @@ def test_deviation_price_impact_scales_inversely_with_agents():
         )
         profile = Profile.truthful(scenario.population, scenario.type_space)
         obedient = run_algorithm(obedient_actions(profile), scenario)
-        last = scenario.type_space.unflatten(int(profile.true_idx[-1]))
-        deviant = run_algorithm(profile.with_report(0, last), scenario)
+        first, last = _first_and_last_types(profile)
+        deviant = run_algorithm(profile.with_report(first, last), scenario)
         assert np.max(np.abs(deviant.final_prices - obedient.final_prices)) <= K / num_agents
 
 
@@ -93,7 +99,7 @@ def test_payments_read_only_trace_outputs():
     trace = run_algorithm(obedient_actions(profile), scenario)
     first = superimposed_outcome(trace, scenario)
     second = superimposed_outcome(trace, scenario)
-    assert np.array_equal(first.payments, second.payments)
+    assert np.array_equal(first.cell_payments, second.cell_payments)
 
 
 def test_unconverged_trace_rejected_by_overlay():
@@ -108,7 +114,7 @@ def test_overlay_matches_shadow_price_mechanism():
     trace = run_algorithm(obedient_actions(profile), scenario)
     overlay = superimposed_outcome(trace, scenario)
     direct = large_scale_vcg(profile, scenario)
-    assert np.max(np.abs(overlay.payments - direct.payments)) <= 2e-3
+    assert np.max(np.abs(overlay.cell_payments - direct.cell_payments)) <= 2e-3
 
 
 def test_strong_budget_balance_on_obedient_trace():
@@ -118,7 +124,7 @@ def test_strong_budget_balance_on_obedient_trace():
     scenario = replace(scenario, beta=1.0)
     trace = run_algorithm(obedient_actions(profile), scenario)
     overlay = superimposed_outcome(trace, scenario)
-    assert abs(float(np.sum(overlay.payments))) <= 1e-3
+    assert abs(float(overlay.profile.cells.counts @ overlay.cell_payments)) <= 1e-3
 
 
 def test_algorithm_has_no_payment_code():
