@@ -2,10 +2,11 @@
 """Print a digest of every file the CLI writes, to compare two checkouts.
 
 Runs every subcommand on every scenario document given (default:
-``scenarios/*.json``), ``dynamic`` in both modes, and ``dynamic`` on the
-``mixing``, ``allocation`` and ``switching`` presets at discounts 0.5 and 0.9.  Each run
-writes to a fresh temporary directory.  Prints one ``sha256  run/file`` line
-per output file and one ``exit N  run`` line per run, where ``run`` is
+``scenarios/*.json``), ``dynamic`` in both planning modes (``myopic`` and
+``fixed-point``), and ``dynamic`` on the ``mixing``, ``allocation`` and
+``switching`` presets at discounts 0.5 and 0.9.  Each run writes to a fresh
+temporary directory.  Prints one ``sha256  run/file`` line per output file
+and one ``exit N  run`` line per run, where ``run`` is
 ``subcommand/scenario``.  Lines that name the scenario's path (its header
 line and its ``meta.json`` field) are left out of the hash, so two
 checkouts give equal printouts exactly when their outputs are
@@ -34,7 +35,7 @@ from lsvcg.generate import dynamic_benchmark
 
 ROOT = Path(__file__).resolve().parent.parent
 STATIC_SUBCOMMANDS = ("solve", "vcg", "lsvcg", "incentive-sweep", "sensitivity", "superimpose")
-DYNAMIC_MODES = ("myopic", "oracle")
+DYNAMIC_MODES = ("myopic", "fixed-point")
 PRESETS = [(kernel, discount) for kernel in ("mixing", "allocation", "switching") for discount in (0.5, 0.9)]
 
 

@@ -18,11 +18,8 @@ from .model import (
     UtilityParams,
     ValidationError,
     empirical_population,
-    influence_derivative,
-    influence_value,
     load_scenario,
     save_scenario,
-    utility_gradient,
     utility_value,
 )
 from .solver import (

@@ -269,8 +269,7 @@ def cmd_superimpose(args, manifest: RunManifest, out: Path) -> None:
 
 def cmd_dynamic(args, manifest: RunManifest, out: Path) -> None:
     dyn = load_dynamic_scenario(_read_scenario(args))
-    mode = "lookahead-oracle" if args.mode == "oracle" else "myopic"
-    policy = plan_policy(dyn, mode=mode)
+    policy = plan_policy(dyn, args.mode)
     num_agents = dyn.static.population.num_agents if dyn.static.population.is_finite else None
     gap_rows = dynamic_incentive_gap(dyn, policy, num_agents)
     rows = []
@@ -288,7 +287,7 @@ def cmd_dynamic(args, manifest: RunManifest, out: Path) -> None:
         row["bound"] = gap_row.bound
         rows.append(row)
     _write_table(out / "slots.csv", rows, manifest)
-    _write_meta(out, manifest, {"mode": mode, "welfare": policy.welfare, "horizon": dyn.horizon})
+    _write_meta(out, manifest, {"mode": args.mode, "welfare": policy.welfare, "horizon": dyn.horizon})
 
 
 _COMMANDS = {
@@ -311,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="root seed recorded in every output")
         p.add_argument("--out", required=True, help="output directory (created if missing)")
         if name == "dynamic":
-            p.add_argument("--mode", choices=["myopic", "oracle"], default="myopic")
+            p.add_argument("--mode", choices=["myopic", "fixed-point"], default="myopic")
             continue
         p.add_argument("--beta", type=float, default=None, help="override the scenario's rebate share")
         if name == "incentive-sweep":

@@ -138,7 +138,7 @@ class DynamicScenario:
             raise ValidationError("kernel type count must match the static type space")
         if not (0.0 < self.discount < 1.0):
             raise ValidationError("discount must lie strictly inside (0, 1)")
-        if not isinstance(self.horizon, (int, np.integer)) or self.horizon < 1:
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)) or self.horizon < 1:
             raise ValidationError("horizon must be a positive integer")
         if not (math.isfinite(self.truncation_tol) and self.truncation_tol > 0):
             raise ValidationError(f"truncation_tol must be finite and positive, got {self.truncation_tol!r}")
@@ -171,7 +171,7 @@ class Policy:
 
     mode: str
     allocations: np.ndarray  # (H, T, N)
-    prices: np.ndarray  # (H, N); zeros where the plan was not market-cleared
+    prices: np.ndarray  # (H, N)
     rho_path: np.ndarray  # (H + 1, T)
     value_table: np.ndarray  # (H + 1, T)
     continuation: np.ndarray  # (H, T, B)
@@ -257,14 +257,14 @@ def mean_field_step_monte_carlo(
 
 def _rollout(dyn: DynamicScenario, allocate):
     """Follow the mean-field flow from ``rho0``, allocating each slot by
-    ``allocate(rho) -> (z (T, N), p (N,))``."""
+    ``allocate(t, rho) -> (z (T, N), p (N,))``."""
     num_res = dyn.static.type_space.num_resources
     allocations = np.empty((dyn.horizon, dyn.num_types, num_res))
     prices = np.empty((dyn.horizon, num_res))
     rho_path = np.empty((dyn.horizon + 1, dyn.num_types))
     rho_path[0] = dyn.rho0
     for t in range(dyn.horizon):
-        allocations[t], prices[t] = allocate(rho_path[t])
+        allocations[t], prices[t] = allocate(t, rho_path[t])
         rho_path[t + 1] = mean_field_step(rho_path[t], allocations[t], dyn.kernel)
     return allocations, prices, rho_path
 
@@ -296,78 +296,14 @@ def plan_welfare(dyn: DynamicScenario, allocations: np.ndarray, rho_path: np.nda
     return total
 
 
-ORACLE_MAX_TYPES = 3
-ORACLE_MIN_GRID = 50
+#: Most mechanism rollouts the ``fixed-point`` planner makes before it gives
+#: up on the allocations repeating (bins can cycle).
+MAX_PLAN_ITERATIONS = 10
 
 
-def _best_constant_plan(dyn: DynamicScenario, grid_levels: int) -> tuple[np.ndarray, float]:
-    """The feasible constant per-type allocation of best discounted welfare
-    on a grid of ``grid_levels`` levels per type, with that welfare."""
-    num_types = dyn.num_types
-    if num_types > ORACLE_MAX_TYPES or dyn.static.type_space.num_resources != 1:
-        raise ValidationError(
-            f"lookahead-oracle is guarded to at most {ORACLE_MAX_TYPES} types and one resource"
-        )
-    if grid_levels < ORACLE_MIN_GRID:
-        raise ValidationError(f"the oracle grid needs at least {ORACLE_MIN_GRID} levels")
-
-    cap = float(dyn.static.capacities[0])
-    z_ub = min(dyn.static.z_max, cap / max(float(np.min(dyn.rho0[dyn.rho0 > 0])), 1e-9))
-    z_ub = min(z_ub, float(dyn.kernel.bin_edges[-1]))
-    levels = np.linspace(0.0, z_ub, grid_levels)
-    grids = np.meshgrid(*([levels] * num_types), indexing="ij")
-    candidates = np.stack([g.ravel() for g in grids], axis=1)  # (M, T)
-
-    w = dyn.static.utility.weights[:, 0]
-    inst_by_type = w[None, :] * np.log1p(candidates)  # (M, T)
-    bins = dyn.kernel.bin_of(candidates.ravel()).reshape(candidates.shape)
-    # Gather transition columns once per candidate/type: q[m, theta, theta'].
-    q = np.transpose(dyn.kernel.probabilities, (1, 2, 0))  # (T, B, T')
-    q_cand = q[np.arange(num_types)[None, :], bins]  # (M, T, T')
-
-    rho = np.tile(dyn.rho0, (candidates.shape[0], 1))
-    welfare = np.zeros(candidates.shape[0])
-    alive = np.ones(candidates.shape[0], dtype=bool)
-    feas_tol = 1e-12 * max(cap, 1.0)
-    for t in range(dyn.horizon):
-        load = np.sum(rho * candidates, axis=1)
-        alive &= load <= cap + feas_tol
-        welfare += np.where(alive, dyn.discount**t * np.sum(rho * inst_by_type, axis=1), 0.0)
-        rho = np.einsum("mt,mtu->mu", rho, q_cand)
-    welfare = np.where(alive, welfare, -np.inf)
-    best = int(np.argmax(welfare))
-    return candidates[best], float(welfare[best])
-
-
-def plan_policy(
-    dyn: DynamicScenario,
-    mode: Literal["myopic", "lookahead-oracle"] = "myopic",
-    grid_levels: int = ORACLE_MIN_GRID,
-) -> Policy:
-    """Build an open-loop plan.
-
-    ``myopic`` solves the static program slot by slot (optimal whenever the
-    kernel is allocation-independent, since the flow is then beyond the
-    planner's control).  ``lookahead-oracle`` is the verification planner for
-    small instances (at most three types, one resource): it rolls out every
-    constant per-type allocation from a grid of at least fifty levels plus
-    the myopic plan itself, and keeps the best discounted welfare, so it can
-    never fall below the myopic plan.
-    """
-    if mode not in ("myopic", "lookahead-oracle"):
-        raise ValidationError(f"unknown planning mode {mode!r}")
-    if mode == "lookahead-oracle":
-        constant, constant_welfare = _best_constant_plan(dyn, grid_levels)
-
-    def myopic_slot(rho):
-        solution = solve_weighted(dyn.static, rho, dyn.static.capacities)
-        return solution.z, solution.p
-
-    allocations, prices, rho_path = _rollout(dyn, myopic_slot)
-    welfare = plan_welfare(dyn, allocations, rho_path)
-    if mode == "lookahead-oracle" and constant_welfare > welfare:
-        allocations, prices, rho_path = _rollout(dyn, lambda rho: (constant[:, None], 0.0))
-        welfare = constant_welfare
+def _policy(dyn: DynamicScenario, mode: str, allocate) -> Policy:
+    """Roll out ``allocate`` (see :func:`_rollout`) and back up its values."""
+    allocations, prices, rho_path = _rollout(dyn, allocate)
     value_table, continuation = _value_table(dyn, allocations)
     return Policy(
         mode=mode,
@@ -376,7 +312,48 @@ def plan_policy(
         rho_path=rho_path,
         value_table=value_table,
         continuation=continuation,
-        welfare=welfare,
+        welfare=plan_welfare(dyn, allocations, rho_path),
+    )
+
+
+def plan_policy(dyn: DynamicScenario, mode: Literal["myopic", "fixed-point"] = "myopic") -> Policy:
+    """Build an open-loop plan.
+
+    ``myopic`` solves the static program slot by slot (optimal whenever the
+    kernel is allocation-independent, since the flow is then beyond the
+    planner's control).  With an allocation-dependent kernel the slot
+    mechanism, which prices each type's continuation, need not allocate what
+    the myopic plan did.  ``fixed-point`` starts from the myopic plan and
+    re-plans with :func:`dynamic_mechanism_step` priced against the previous
+    plan's continuation (policy iteration), until the allocations repeat bit
+    for bit; every slot of the returned plan is then what the mechanism
+    allocates.  It raises :class:`SolverError` if the allocations still move
+    after ``MAX_PLAN_ITERATIONS`` mechanism rollouts.
+    """
+    if mode not in ("myopic", "fixed-point"):
+        raise ValidationError(f"unknown planning mode {mode!r}")
+
+    def myopic_slot(t, rho):
+        solution = solve_weighted(dyn.static, rho, dyn.static.capacities)
+        return solution.z, solution.p
+
+    policy = _policy(dyn, mode, myopic_slot)
+    if mode == "myopic":
+        return policy
+    for _ in range(MAX_PLAN_ITERATIONS):
+        previous = policy
+
+        def mechanism_slot(t, rho):
+            slot = dynamic_mechanism_step(rho, dyn, previous, t)
+            return slot.z, slot.p
+
+        policy = _policy(dyn, mode, mechanism_slot)
+        if np.array_equal(policy.allocations, previous.allocations):
+            return policy
+    changed = int(np.count_nonzero(np.any(policy.allocations != previous.allocations, axis=(1, 2))))
+    raise SolverError(
+        f"the fixed-point plan did not settle in {MAX_PLAN_ITERATIONS} iterations: "
+        f"the last one changed the allocation at {changed} of {dyn.horizon} slots"
     )
 
 

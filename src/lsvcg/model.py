@@ -42,9 +42,6 @@ __all__ = [
     "Scenario",
     "INFINITE",
     "utility_value",
-    "utility_gradient",
-    "influence_value",
-    "influence_derivative",
     "empirical_population",
     "load_scenario",
     "save_scenario",
@@ -80,7 +77,7 @@ class TypeSpace:
     def __post_init__(self):
         for name in ("num_theta", "num_zeta", "num_resources"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValidationError(f"{name} must be a positive integer, got {v!r}")
 
     @property
@@ -170,7 +167,7 @@ class Population:
         object.__setattr__(self, "shares", s)
         if self.num_agents is not INFINITE:
             n = self.num_agents
-            if not isinstance(n, (int, np.integer)) or n < 1:
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
                 raise ValidationError(f"population.num_agents must be a positive integer or 'infinite', got {n!r}")
             counts = s * n
             if np.any(np.abs(counts - np.round(counts)) > 1e-9):
@@ -374,28 +371,6 @@ def utility_value(utility: UtilityParams, theta: int, x) -> float:
     if np.any(x < 0):
         raise ValidationError("allocation components must be nonnegative")
     return float(np.dot(utility.weights[theta], np.log1p(x)))
-
-
-def utility_gradient(utility: UtilityParams, theta: int, x) -> np.ndarray:
-    """Componentwise marginal utility ``w[theta, n] / (1 + x_n)``."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValidationError("allocation components must be nonnegative")
-    return utility.weights[theta] / (1.0 + x)
-
-
-def influence_value(influence: InfluenceParams, zeta: int, n: int, x: float) -> float:
-    """``a*x + b*x**2`` for scalar ``x >= 0``."""
-    if x < 0:
-        raise ValidationError("influence argument must be nonnegative")
-    return float(influence.load(zeta, x)[n])
-
-
-def influence_derivative(influence: InfluenceParams, zeta: int, n: int, x: float) -> float:
-    """``a + 2*b*x`` for scalar ``x >= 0``; always at least ``a``."""
-    if x < 0:
-        raise ValidationError("influence argument must be nonnegative")
-    return float(influence.slope(zeta, x)[n])
 
 
 def empirical_population(assignments: Sequence[tuple[int, int]], type_space: TypeSpace) -> Population:

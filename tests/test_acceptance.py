@@ -370,8 +370,8 @@ def dynamic_gap_sweep():
 def test_criterion_9_dynamic_reductions_and_bounds(dynamic_gap_sweep):
     dyn, policy, per_i, elapsed = dynamic_gap_sweep
     started = time.perf_counter()
-    oracle = plan_policy(dyn, "lookahead-oracle")
-    welfare_gap = abs(policy.welfare - oracle.welfare) / max(abs(policy.welfare), 1e-12)
+    fixed_point = plan_policy(dyn, "fixed-point")
+    welfare_gap = abs(policy.welfare - fixed_point.welfare) / max(abs(policy.welfare), 1e-12)
 
     mean_field_rows = dynamic_incentive_gap(dyn, policy, None)
     worst_margin = -max(row.max_gap for row in mean_field_rows)

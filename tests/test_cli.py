@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from lsvcg.cli import main
-from lsvcg.dynamic import save_dynamic_scenario
+from lsvcg.dynamic import DynamicScenario, TransitionKernel, save_dynamic_scenario
 from lsvcg.generate import (
     dynamic_benchmark,
     incentive_benchmark,
@@ -91,6 +91,20 @@ def test_undecodable_document_exits_2(subcommand, blob, tmp_path, capsys):
     assert "not valid UTF-8 JSON" in capsys.readouterr().err
 
 
+def _with_field(document: str, field: str, value, tmp_path: Path) -> Path:
+    """Copy of a shipped document with the dotted ``field`` set to ``value``;
+    numeric parts of the path index lists."""
+    doc = json.loads((SCENARIOS / document).read_text())
+    *parents, last = field.split(".")
+    node = doc
+    for key in parents:
+        node = node[int(key) if isinstance(node, list) else key]
+    node[int(last) if isinstance(node, list) else last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
 @pytest.mark.parametrize(
     ("field", "value", "message"),
     [
@@ -100,18 +114,29 @@ def test_undecodable_document_exits_2(subcommand, blob, tmp_path, capsys):
         ("kernel.probabilities.0.0.0", math.nan, "kernel.probabilities"),
         ("kernel.bin_edges.1", math.nan, "kernel.bin_edges"),
         ("truncation_tol", math.nan, "truncation_tol"),
+        ("horizon", True, "horizon must be a positive integer"),
+        ("type_space.num_resources", True, "num_resources must be a positive integer"),
+        ("type_space.num_zeta", True, "num_zeta must be a positive integer"),
     ],
 )
 def test_dynamic_document_with_a_malformed_field_exits_2(field, value, message, tmp_path, capsys):
-    doc = json.loads((SCENARIOS / "dynamic.json").read_text())
-    *parents, last = field.split(".")  # a dotted path; numeric parts index lists
-    node = doc
-    for key in parents:
-        node = node[int(key) if isinstance(node, list) else key]
-    node[int(last) if isinstance(node, list) else last] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad = _with_field("dynamic.json", field, value, tmp_path)
     assert _run("dynamic", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("type_space.num_theta", True, "num_theta must be a positive integer"),
+        ("type_space.num_zeta", True, "num_zeta must be a positive integer"),
+        ("type_space.num_resources", True, "num_resources must be a positive integer"),
+        ("population.num_agents", True, "num_agents must be a positive integer"),
+    ],
+)
+def test_static_document_with_a_malformed_field_exits_2(field, value, message, tmp_path, capsys):
+    bad = _with_field("two_type.json", field, value, tmp_path)
+    assert _run("solve", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2
     assert message in capsys.readouterr().err
 
 
@@ -304,6 +329,28 @@ def test_dynamic_subcommand(dynamic_file, tmp_path):
     assert rows[0].startswith("t,rho_0,rho_1,z_0,z_1,p_0")
     meta = json.loads((out / "meta.json").read_text())
     assert meta["horizon"] == 20
+
+
+@pytest.mark.parametrize("mode", ["myopic", "fixed-point"])
+def test_dynamic_meta_records_the_mode(mode, tmp_path):
+    path = tmp_path / "dyn.json"
+    path.write_bytes(save_dynamic_scenario(dynamic_benchmark(kernel="switching", discount=0.5)))
+    out = tmp_path / "run"
+    assert _run("dynamic", "--scenario", str(path), "--out", str(out), "--mode", mode) == 0
+    assert json.loads((out / "meta.json").read_text())["mode"] == mode
+
+
+def test_dynamic_fixed_point_on_a_slot_that_cannot_clear_exits_3(tmp_path, capsys):
+    # bin edges under which type 0's best bin switches at the clearing price
+    # of slot 0, so its demand jumps over the capacity
+    dyn = dynamic_benchmark(kernel="allocation", discount=0.5, num_bins=4)
+    kernel = TransitionKernel(probabilities=dyn.kernel.probabilities, bin_edges=[0.0, 0.5, 1.0, 1.5, 40.0])
+    dyn = DynamicScenario(static=dyn.static, kernel=kernel, discount=0.5, horizon=dyn.horizon, rho0=dyn.rho0)
+    path = tmp_path / "dyn.json"
+    path.write_bytes(save_dynamic_scenario(dyn))
+    out = tmp_path / "run"
+    assert _run("dynamic", "--scenario", str(path), "--out", str(out), "--mode", "fixed-point") == 3
+    assert "slot 0 market" in capsys.readouterr().err
 
 
 def test_dynamic_allocation_kernel(tmp_path):

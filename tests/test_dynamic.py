@@ -71,7 +71,7 @@ def test_simplex_preserved_along_rollout():
 def test_myopic_matches_oracle_when_kernel_ignores_allocations():
     dyn = dynamic_benchmark(kernel="mixing", discount=0.5)
     myopic = plan_policy(dyn, "myopic")
-    oracle = plan_policy(dyn, "lookahead-oracle")
+    oracle = plan_policy(dyn, "fixed-point")
     assert abs(myopic.welfare - oracle.welfare) <= 1e-4 * abs(myopic.welfare)
 
 
@@ -79,21 +79,29 @@ def test_tiny_discount_makes_oracle_myopic():
     dyn = dynamic_benchmark(kernel="allocation", discount=1e-6, num_bins=4)
     assert dyn.horizon == 1
     myopic = plan_policy(dyn, "myopic")
-    oracle = plan_policy(dyn, "lookahead-oracle", grid_levels=200)
+    oracle = plan_policy(dyn, "fixed-point")
     assert abs(myopic.welfare - oracle.welfare) <= 1e-3 * abs(myopic.welfare)
 
 
 def test_oracle_never_below_myopic():
     dyn = dynamic_benchmark(kernel="allocation", discount=0.6, num_bins=6)
     myopic = plan_policy(dyn, "myopic")
-    oracle = plan_policy(dyn, "lookahead-oracle")
+    oracle = plan_policy(dyn, "fixed-point")
     assert oracle.welfare >= myopic.welfare - 1e-9
 
 
-def test_oracle_guard_rejects_large_spaces(rng):
+def test_fixed_point_is_myopic_when_the_kernel_ignores_allocations(rng):
     dyn = random_dynamic_scenario(rng, num_theta=4)
-    with pytest.raises(ValidationError, match="oracle"):
-        plan_policy(dyn, "lookahead-oracle")
+    myopic = plan_policy(dyn, "myopic")
+    fixed_point = plan_policy(dyn, "fixed-point")
+    for name in ("allocations", "prices", "rho_path", "value_table", "continuation"):
+        assert np.array_equal(getattr(fixed_point, name), getattr(myopic, name))
+    assert fixed_point.welfare == myopic.welfare
+
+
+def test_unknown_planning_mode_is_rejected():
+    with pytest.raises(ValidationError, match="planning mode"):
+        plan_policy(dynamic_benchmark(kernel="mixing"), "lookahead-oracle")
 
 
 def test_bellman_consistency_along_plan():
@@ -280,24 +288,76 @@ def test_horizon_must_cover_truncation():
 # -- plans that move between allocation bins -------------------------------------
 
 
+def _best_constant_welfare(dyn: DynamicScenario, grid_levels: int = 50) -> float:
+    """Best discounted welfare of a feasible constant per-type allocation on a
+    grid of ``grid_levels`` levels per type (one resource)."""
+    num_types = dyn.num_types
+    cap = float(dyn.static.capacities[0])
+    z_ub = min(dyn.static.z_max, cap / max(float(np.min(dyn.rho0[dyn.rho0 > 0])), 1e-9))
+    z_ub = min(z_ub, float(dyn.kernel.bin_edges[-1]))
+    levels = np.linspace(0.0, z_ub, grid_levels)
+    grids = np.meshgrid(*([levels] * num_types), indexing="ij")
+    candidates = np.stack([g.ravel() for g in grids], axis=1)  # (M, T)
+
+    inst_by_type = dyn.static.utility.weights[:, 0][None, :] * np.log1p(candidates)  # (M, T)
+    bins = dyn.kernel.bin_of(candidates.ravel()).reshape(candidates.shape)
+    q = np.transpose(dyn.kernel.probabilities, (1, 2, 0))  # (T, B, T')
+    q_cand = q[np.arange(num_types)[None, :], bins]  # (M, T, T')
+
+    rho = np.tile(dyn.rho0, (candidates.shape[0], 1))
+    welfare = np.zeros(candidates.shape[0])
+    alive = np.ones(candidates.shape[0], dtype=bool)
+    for t in range(dyn.horizon):
+        alive &= np.sum(rho * candidates, axis=1) <= cap + 1e-12 * max(cap, 1.0)
+        welfare += dyn.discount**t * np.sum(rho * inst_by_type, axis=1)
+        rho = np.einsum("mt,mtu->mu", rho, q_cand)
+    return float(np.max(np.where(alive, welfare, -np.inf)))
+
+
 @pytest.mark.parametrize("discount", [0.5, 0.9])
 def test_switching_oracle_keeps_a_constant_plan_above_myopic(discount):
-    # the myopic plan puts the two types in different bins; the oracle's
-    # constant plan keeps both in the high-value bin and beats it
+    # the myopic plan puts the two types in different bins; the fixed point,
+    # which prices the continuation of each bin, beats it
     dyn = dynamic_benchmark(kernel="switching", discount=discount)
     myopic = plan_policy(dyn, "myopic")
-    oracle = plan_policy(dyn, "lookahead-oracle")
+    oracle = plan_policy(dyn, "fixed-point")
     assert set(dyn.kernel.bin_of(myopic.allocations[:, :, 0].ravel())) == {0, 1}
     assert oracle.welfare > myopic.welfare
-    assert np.all(oracle.prices == 0.0)
-    assert np.all(oracle.allocations == oracle.allocations[0])
-    for mode in ("myopic", "lookahead-oracle"):
+    for mode in ("myopic", "fixed-point"):
         policy = plan_policy(dyn, mode)
         assert all(row.holds for row in dynamic_incentive_gap(dyn, policy, 10))
         assert all(row.holds for row in dynamic_incentive_gap(dyn, policy, None))
 
 
-@pytest.mark.parametrize("mode", ["myopic", "lookahead-oracle"])
+@pytest.mark.parametrize("discount", [0.5, 0.9])
+def test_switching_fixed_point_meets_the_best_constant_plan(discount):
+    dyn = dynamic_benchmark(kernel="switching", discount=discount)
+    assert plan_policy(dyn, "fixed-point").welfare >= _best_constant_welfare(dyn)
+
+
+@pytest.mark.parametrize("kernel", ["mixing", "allocation", "switching"])
+@pytest.mark.parametrize("discount", [0.5, 0.9])
+def test_fixed_point_slots_allocate_the_plan(kernel, discount):
+    dyn = dynamic_benchmark(kernel=kernel, discount=discount, num_bins=4)
+    policy = plan_policy(dyn, "fixed-point")
+    assert policy.welfare >= plan_policy(dyn, "myopic").welfare
+    for t in range(dyn.horizon):
+        slot = dynamic_mechanism_step(policy.rho_path[t], dyn, policy, t)
+        assert np.array_equal(slot.z, policy.allocations[t])
+        assert np.array_equal(slot.p, policy.prices[t])
+        assert np.array_equal(policy.rho_path[t + 1], mean_field_step(policy.rho_path[t], slot.z, dyn.kernel))
+
+
+def test_fixed_point_that_does_not_settle_is_a_solver_error(monkeypatch):
+    import lsvcg.dynamic
+
+    dyn = dynamic_benchmark(kernel="switching", discount=0.5)
+    monkeypatch.setattr(lsvcg.dynamic, "MAX_PLAN_ITERATIONS", 1)
+    with pytest.raises(SolverError, match=r"did not settle in 1 iterations: .* at \d+ of 20 slots"):
+        plan_policy(dyn, "fixed-point")
+
+
+@pytest.mark.parametrize("mode", ["myopic", "fixed-point"])
 def test_switching_plan_follows_its_own_flow_and_continuation(mode):
     dyn = dynamic_benchmark(kernel="switching", discount=0.5)
     policy = plan_policy(dyn, mode)

@@ -14,11 +14,8 @@ from lsvcg.model import (
     UtilityParams,
     ValidationError,
     empirical_population,
-    influence_derivative,
-    influence_value,
     load_scenario,
     save_scenario,
-    utility_gradient,
     utility_value,
 )
 
@@ -46,38 +43,15 @@ def test_utility_value_rejects_negative_allocation():
         utility_value(u, 0, [-0.1])
 
 
-def test_utility_gradient_closed_form():
-    u = UtilityParams(weights=[[1.0]])
-    assert utility_gradient(u, 0, [0.0])[0] == pytest.approx(1.0)
-    u2 = UtilityParams(weights=[[2.0]])
-    assert utility_gradient(u2, 0, [1.0])[0] == pytest.approx(1.0)
-
-
-def test_utility_gradient_matches_finite_differences():
-    rng = rng_for(1, 0)
-    w = rng.uniform(0.5, 3.0, size=(1, 3))
-    u = UtilityParams(weights=w)
-    for _ in range(100):
-        x = rng.uniform(0.0, 5.0, size=3)
-        grad = utility_gradient(u, 0, x)
-        h = 1e-6
-        for n in range(3):
-            xp, xm = x.copy(), x.copy()
-            xp[n] += h
-            xm[n] = max(xm[n] - h, 0.0)
-            fd = (utility_value(u, 0, xp) - utility_value(u, 0, xm)) / (xp[n] - xm[n])
-            assert grad[n] == pytest.approx(fd, rel=1e-6)
-
-
 def test_influence_closed_forms():
     f = InfluenceParams(linear=[[1.0]], quadratic=[[0.0]])
-    assert influence_value(f, 0, 0, 2.0) == pytest.approx(2.0)
+    assert f.load(0, 2.0)[0] == pytest.approx(2.0)
     f2 = InfluenceParams(linear=[[1.0]], quadratic=[[0.5]])
-    assert influence_value(f2, 0, 0, 2.0) == pytest.approx(4.0)
-    assert influence_value(f2, 0, 0, 0.0) == 0.0
-    assert influence_derivative(f, 0, 0, 7.3) == pytest.approx(1.0)
+    assert f2.load(0, 2.0)[0] == pytest.approx(4.0)
+    assert f2.load(0, 0.0)[0] == 0.0
+    assert f.slope(0, 7.3)[0] == pytest.approx(1.0)
     f3 = InfluenceParams(linear=[[2.0]], quadratic=[[1.0]])
-    assert influence_derivative(f3, 0, 0, 3.0) == pytest.approx(8.0)
+    assert f3.slope(0, 3.0)[0] == pytest.approx(8.0)
 
 
 def test_influence_rows_match_scalar_forms():
@@ -89,16 +63,8 @@ def test_influence_rows_match_scalar_forms():
     for z in range(3):
         for n in range(4):
             a, b, xz = float(f.linear[z, n]), float(f.quadratic[z, n]), float(x[z, n])
-            assert loads[z, n] == influence_value(f, z, n, xz) == a * xz + b * xz * xz
-            assert slopes[z, n] == influence_derivative(f, z, n, xz) == a + 2.0 * b * xz
-
-
-def test_influence_rejects_negative_argument():
-    f = InfluenceParams(linear=[[1.0]], quadratic=[[0.0]])
-    with pytest.raises(ValidationError):
-        influence_value(f, 0, 0, -1.0)
-    with pytest.raises(ValidationError):
-        influence_derivative(f, 0, 0, -1.0)
+            assert loads[z, n] == f.load(z, xz)[n] == a * xz + b * xz * xz
+            assert slopes[z, n] == f.slope(z, xz)[n] == a + 2.0 * b * xz
 
 
 def test_influence_derivative_matches_finite_differences():
@@ -108,8 +74,8 @@ def test_influence_derivative_matches_finite_differences():
         x = float(rng.uniform(0.1, 4.0))
         z, n = int(rng.integers(2)), int(rng.integers(2))
         h = 1e-6
-        fd = (influence_value(f, z, n, x + h) - influence_value(f, z, n, x - h)) / (2 * h)
-        assert influence_derivative(f, z, n, x) == pytest.approx(fd, abs=1e-8 * max(1.0, abs(fd)))
+        fd = (f.load(z, x + h)[n] - f.load(z, x - h)[n]) / (2 * h)
+        assert f.slope(z, x)[n] == pytest.approx(fd, abs=1e-8 * max(1.0, abs(fd)))
 
 
 @given(
@@ -136,9 +102,7 @@ def test_utility_concavity_and_monotonicity(lam, x, y):
 def test_influence_convexity(lam, x, y):
     f = InfluenceParams(linear=[[1.1]], quadratic=[[0.4]])
     mid = lam * x + (1 - lam) * y
-    assert influence_value(f, 0, 0, mid) <= lam * influence_value(f, 0, 0, x) + (1 - lam) * influence_value(
-        f, 0, 0, y
-    ) + 1e-12
+    assert f.load(0, mid)[0] <= lam * f.load(0, x)[0] + (1 - lam) * f.load(0, y)[0] + 1e-12
 
 
 def test_population_rejects_bad_shares():
