@@ -32,6 +32,7 @@ from .model import (
     _frozen_array,
     _read_document,
     _require,
+    _require_number,
     scenario_from_dict,
     scenario_to_dict,
     utility_value,
@@ -224,12 +225,18 @@ def _per_type_allocations(z, num_types: int) -> np.ndarray:
     raise ValidationError("one allocation per type is required")
 
 
-def mean_field_step(rho, z, kernel: TransitionKernel) -> np.ndarray:
-    """Deterministic population flow: one kernel application per type mass of
-    the distribution ``rho``."""
+def _state_distribution(rho) -> np.ndarray:
+    """``rho`` as a float vector, raising unless it is a finite simplex vector."""
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 1 or not _is_simplex(rho, -1e-15):
         raise ValidationError("state distribution must be a finite simplex vector")
+    return rho
+
+
+def mean_field_step(rho, z, kernel: TransitionKernel) -> np.ndarray:
+    """Deterministic population flow: one kernel application per type mass of
+    the distribution ``rho``."""
+    rho = _state_distribution(rho)
     bins = kernel.bin_of(_per_type_allocations(z, rho.size))
     q_cols = kernel.probabilities[:, np.arange(rho.size), bins]  # (T', T)
     return q_cols @ rho
@@ -243,7 +250,7 @@ def mean_field_step_monte_carlo(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Empirical next-slot distribution from independent sampled transitions."""
-    rho = np.asarray(rho, dtype=float)
+    rho = _state_distribution(rho)
     bins = kernel.bin_of(_per_type_allocations(z, rho.size))
     counts = rng.multinomial(num_samples, rho)
     next_counts = np.zeros(rho.size, dtype=np.int64)
@@ -316,6 +323,25 @@ def _policy(dyn: DynamicScenario, mode: str, allocate) -> Policy:
     )
 
 
+def _cleared_once(clear, by_slot: bool):
+    """Wrap ``clear(t, shares) -> (z, p)`` so that it clears each distinct market once.
+
+    A market is its reported shares, and also its slot when ``by_slot`` (the
+    binned clearing reads the policy at ``t``).  The memo lives as long as the
+    wrapper, one rollout or one :func:`dynamic_incentive_gap` call, and holds
+    ``(z, p)`` only, since a slot's payoffs depend on ``t``.
+    """
+    memo: dict = {}
+
+    def clear_once(t: int, shares: np.ndarray):
+        key = (t, shares.tobytes()) if by_slot else shares.tobytes()
+        if key not in memo:
+            memo[key] = clear(t, shares)
+        return memo[key]
+
+    return clear_once
+
+
 def plan_policy(dyn: DynamicScenario, mode: Literal["myopic", "fixed-point"] = "myopic") -> Policy:
     """Build an open-loop plan.
 
@@ -324,11 +350,12 @@ def plan_policy(dyn: DynamicScenario, mode: Literal["myopic", "fixed-point"] = "
     planner's control).  With an allocation-dependent kernel the slot
     mechanism, which prices each type's continuation, need not allocate what
     the myopic plan did.  ``fixed-point`` starts from the myopic plan and
-    re-plans with :func:`dynamic_mechanism_step` priced against the previous
-    plan's continuation (policy iteration), until the allocations repeat bit
-    for bit; every slot of the returned plan is then what the mechanism
+    re-plans with the slot mechanism priced against the previous plan's
+    continuation (policy iteration), until the allocations repeat bit for
+    bit; every slot of the returned plan is then what the mechanism
     allocates.  It raises :class:`SolverError` if the allocations still move
-    after ``MAX_PLAN_ITERATIONS`` mechanism rollouts.
+    after ``MAX_PLAN_ITERATIONS`` mechanism rollouts.  Each rollout clears
+    each distinct market once.
     """
     if mode not in ("myopic", "fixed-point"):
         raise ValidationError(f"unknown planning mode {mode!r}")
@@ -337,17 +364,16 @@ def plan_policy(dyn: DynamicScenario, mode: Literal["myopic", "fixed-point"] = "
         solution = solve_weighted(dyn.static, rho, dyn.static.capacities)
         return solution.z, solution.p
 
-    policy = _policy(dyn, mode, myopic_slot)
+    policy = _policy(dyn, mode, _cleared_once(myopic_slot, by_slot=False))
     if mode == "myopic":
         return policy
     for _ in range(MAX_PLAN_ITERATIONS):
         previous = policy
 
         def mechanism_slot(t, rho):
-            slot = dynamic_mechanism_step(rho, dyn, previous, t)
-            return slot.z, slot.p
+            return _clear_slot(rho, dyn, previous, t)
 
-        policy = _policy(dyn, mode, mechanism_slot)
+        policy = _policy(dyn, mode, _cleared_once(mechanism_slot, by_slot=not dyn.kernel.allocation_independent))
         if np.array_equal(policy.allocations, previous.allocations):
             return policy
     changed = int(np.count_nonzero(np.any(policy.allocations != previous.allocations, axis=(1, 2))))
@@ -355,6 +381,12 @@ def plan_policy(dyn: DynamicScenario, mode: Literal["myopic", "fixed-point"] = "
         f"the fixed-point plan did not settle in {MAX_PLAN_ITERATIONS} iterations: "
         f"the last one changed the allocation at {changed} of {dyn.horizon} slots"
     )
+
+
+def _check_slot(policy: Policy, t: int) -> None:
+    horizon = policy.allocations.shape[0]
+    if not 0 <= t < horizon:
+        raise ValidationError(f"slot index {t} outside the planned horizon [0, {horizon})")
 
 
 def value_u_sigma(dyn: DynamicScenario, policy: Policy, theta: int, z, t: int) -> float:
@@ -365,8 +397,7 @@ def value_u_sigma(dyn: DynamicScenario, policy: Policy, theta: int, z, t: int) -
     the policy's mean-field path; it is read from ``policy.continuation``,
     frozen at planning time, at the bin of ``z``.
     """
-    if t >= policy.allocations.shape[0]:
-        raise ValidationError("slot index beyond the planned horizon")
+    _check_slot(policy, t)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     bin_of_z = dyn.kernel.bin_of(z[:1])[0]
     return utility_value(dyn.static.utility, theta, z) + float(policy.continuation[t, theta, bin_of_z])
@@ -401,6 +432,51 @@ def _binned_best_response(dyn, cont_row, w: float, price: float) -> float:
     return best_z
 
 
+def _clear_slot(reports: np.ndarray, dyn: DynamicScenario, policy: Policy, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clear slot ``t``'s market for the reported shares: ``(z (T, N), p (N,))``.
+
+    Each type's objective is its instantaneous utility plus the frozen policy
+    continuation; with an allocation-independent kernel this reduces exactly
+    to the static program, and ``policy`` is not read.
+    """
+    caps = dyn.static.capacities
+    if dyn.kernel.allocation_independent:
+        solution = solve_weighted(dyn.static, reports, caps)
+        return solution.z, solution.p
+    if dyn.static.type_space.num_resources != 1:
+        raise ValidationError("allocation-dependent kernels are supported for a single resource only")
+    num_types = dyn.num_types
+    cap = float(caps[0])
+    w = [float(x) for x in dyn.static.utility.weights[:, 0]]
+    cont_rows = policy.continuation[t]
+    next_values = policy.value_table[t + 1]
+    cont_span = float(np.max(next_values) - np.min(next_values))
+    first_edge = float(dyn.kernel.bin_edges[1]) if dyn.kernel.num_bins > 1 else 1.0
+    p_hi = max(w) + dyn.discount * cont_span / max(first_edge, 1e-9) + 1.0
+
+    def responses(price: float) -> list[float]:
+        return [_binned_best_response(dyn, cont_rows[theta], w[theta], price) for theta in range(num_types)]
+
+    def demand(price: float) -> float:
+        return float(sum(reports[theta] * z for theta, z in enumerate(responses(price))))
+
+    try:
+        price, _ = _clear_price(demand, cap, p_hi, BINNED_PRICE_TOLERANCE)
+    except SolverError as exc:
+        raise SolverError(f"slot {t} market {exc}") from None
+    return np.array([[z_theta] for z_theta in responses(price)]), np.array([price])
+
+
+def _charge(dyn: DynamicScenario, policy: Policy, t: int, z: np.ndarray, p: np.ndarray) -> SlotOutcome:
+    """Slot ``t`` with the cleared ``(z, p)``: each type pays ``p . z`` and gets
+    its :func:`value_u_sigma` less that payment."""
+    payments = z @ p
+    payoffs = np.array(
+        [value_u_sigma(dyn, policy, theta, z[theta], t) - payments[theta] for theta in range(dyn.num_types)]
+    )
+    return SlotOutcome(t=t, z=z, p=p, payments=payments, payoffs=payoffs)
+
+
 def dynamic_mechanism_step(reports: np.ndarray, dyn: DynamicScenario, policy: Policy, t: int) -> SlotOutcome:
     """Price slot ``t`` against reported shares and charge ``p . z`` per type.
 
@@ -410,46 +486,11 @@ def dynamic_mechanism_step(reports: np.ndarray, dyn: DynamicScenario, policy: Po
     to the static program.
     """
     reports = np.asarray(reports, dtype=float)
-    num_types = dyn.num_types
-    if reports.shape != (num_types,) or np.any(reports < -1e-12) or abs(float(reports.sum()) - 1.0) > 1e-9:
+    if reports.shape != (dyn.num_types,) or np.any(reports < -1e-12) or abs(float(reports.sum()) - 1.0) > 1e-9:
         raise ValidationError("reports must be a distribution over the utility types")
-    reports = np.maximum(reports, 0.0)
-    if t >= policy.allocations.shape[0]:
-        raise ValidationError("slot index beyond the planned horizon")
-
-    caps = dyn.static.capacities
-    if dyn.kernel.allocation_independent:
-        solution = solve_weighted(dyn.static, reports, caps)
-        z, p = solution.z, solution.p
-    else:
-        if dyn.static.type_space.num_resources != 1:
-            raise ValidationError("allocation-dependent kernels are supported for a single resource only")
-        cap = float(caps[0])
-        w = [float(x) for x in dyn.static.utility.weights[:, 0]]
-        cont_rows = policy.continuation[t]
-        next_values = policy.value_table[t + 1]
-        cont_span = float(np.max(next_values) - np.min(next_values))
-        first_edge = float(dyn.kernel.bin_edges[1]) if dyn.kernel.num_bins > 1 else 1.0
-        p_hi = max(w) + dyn.discount * cont_span / max(first_edge, 1e-9) + 1.0
-
-        def responses(price: float) -> list[float]:
-            return [_binned_best_response(dyn, cont_rows[theta], w[theta], price) for theta in range(num_types)]
-
-        def demand(price: float) -> float:
-            return float(sum(reports[theta] * z for theta, z in enumerate(responses(price))))
-
-        try:
-            price, _ = _clear_price(demand, cap, p_hi, BINNED_PRICE_TOLERANCE)
-        except SolverError as exc:
-            raise SolverError(f"slot {t} market {exc}") from None
-        z = np.array([[z_theta] for z_theta in responses(price)])
-        p = np.array([price])
-
-    payments = z @ p
-    payoffs = np.array(
-        [value_u_sigma(dyn, policy, theta, z[theta], t) - payments[theta] for theta in range(num_types)]
-    )
-    return SlotOutcome(t=t, z=z, p=p, payments=payments, payoffs=payoffs)
+    _check_slot(policy, t)
+    z, p = _clear_slot(np.maximum(reports, 0.0), dyn, policy, t)
+    return _charge(dyn, policy, t, z, p)
 
 
 def dynamic_incentive_gap(
@@ -461,32 +502,46 @@ def dynamic_incentive_gap(
 
     ``num_agents=None`` freezes prices (a lone report cannot move the slot
     shares); a finite head count moves the reported shares by exactly
-    ``1/num_agents`` and re-solves the slot.  Gains are per head, as in
+    ``1/num_agents`` and re-clears the slot.  Gains are per head, as in
     ``incentives.incentive_gap``.  Each row compares the measured gap with the
     quadratic ceiling ``incentives.misreport_gain_bound`` evaluated at that
-    slot's shares (``incentives.gain_within_bound``).  The truthful slot is
-    priced once per slot; every truthful and frozen-price payoff reads it,
-    and the row carries it as ``slot``.
+    slot's shares (``incentives.gain_within_bound``).
+
+    The truthful slot is the plan's own slot when the plan is what the
+    mechanism allocates (an allocation-independent kernel, or a
+    ``fixed-point`` plan), and is cleared otherwise.  Every truthful and
+    frozen-price payoff reads it, and the row carries it as ``slot``.  Each
+    distinct market is cleared once per call: the flow soon repeats its
+    shares bit for bit, and with them the misreported markets.  Each result
+    equals :func:`dynamic_mechanism_step` on the same market.
     """
     num_types = dyn.num_types
+    binned = not dyn.kernel.allocation_independent
+    plan_is_mechanism = not binned or policy.mode == "fixed-point"
+    clear = _cleared_once(lambda t, shares: _clear_slot(shares, dyn, policy, t), by_slot=binned)
     rows: list[DynamicIncentiveRow] = []
     for t in range(dyn.horizon):
         rho_t = policy.rho_path[t]
         if num_agents is not None and np.any(rho_t <= 0):
             raise ValidationError(f"bound undefined: a type share hits zero at slot {t}")
-        truthful_slot = dynamic_mechanism_step(rho_t, dyn, policy, t)
+        if plan_is_mechanism:
+            truthful_slot = _charge(dyn, policy, t, policy.allocations[t], policy.prices[t])
+        else:
+            truthful_slot = _charge(dyn, policy, t, *clear(t, np.maximum(rho_t, 0.0)))
 
         def payoff(theta: int, report: int) -> float:
             if num_agents is None or report == theta:
-                slot = truthful_slot  # a lone or truthful report leaves the slot shares untouched
+                # a lone or truthful report leaves the slot shares untouched
+                z, payments = truthful_slot.z, truthful_slot.payments
             else:
                 shares = rho_t.copy()
                 shares[theta] -= 1.0 / num_agents
                 shares[report] += 1.0 / num_agents
                 if shares[theta] < -1e-12:
                     return -math.inf  # fewer than one agent of this type at this slot
-                slot = dynamic_mechanism_step(np.maximum(shares, 0.0), dyn, policy, t)
-            return value_u_sigma(dyn, policy, theta, slot.z[report], t) - float(slot.payments[report])
+                z, p = clear(t, np.maximum(shares, 0.0))
+                payments = z @ p
+            return value_u_sigma(dyn, policy, theta, z[report], t) - float(payments[report])
 
         per_type: dict[int, float] = {}
         for theta in range(num_types):
@@ -539,13 +594,13 @@ def load_dynamic_scenario(source: bytes | str) -> DynamicScenario:
         return DynamicScenario(
             static=scenario_from_dict({k: v for k, v in doc.items() if k not in _DYNAMIC_FIELDS}),
             kernel=TransitionKernel(
-                probabilities=_require(doc, "kernel.probabilities"),
-                bin_edges=_require(doc, "kernel.bin_edges"),
+                probabilities=_require_number(doc, "kernel.probabilities"),
+                bin_edges=_require_number(doc, "kernel.bin_edges"),
             ),
-            discount=_require(doc, "discount"),
+            discount=_require_number(doc, "discount"),
             horizon=_require(doc, "horizon"),
-            rho0=_require(doc, "rho0"),
-            truncation_tol=doc.get("truncation_tol", 1e-6),
+            rho0=_require_number(doc, "rho0"),
+            truncation_tol=_require_number(doc, "truncation_tol") if "truncation_tol" in doc else 1e-6,
         )
     except ValidationError:
         raise

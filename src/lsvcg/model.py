@@ -428,6 +428,30 @@ def _require(doc: dict, key: str):
     return node
 
 
+def _numbers_only(value) -> bool:
+    """Whether ``value`` is a JSON number or nested lists of them (a ``bool``
+    is not a number here)."""
+    pending = [[value]]
+    while pending:
+        row = pending.pop()
+        kinds = set(map(type, row))
+        if list in kinds:
+            kinds.discard(list)
+            pending.extend(v for v in row if type(v) is list)
+        if not kinds <= {int, float}:
+            return False
+    return True
+
+
+def _require_number(doc: dict, key: str):
+    """:func:`_require` for a number or nested lists of numbers.  numpy would
+    read ``true`` as 1.0 and ``"2"`` as 2.0, so those are errors here."""
+    value = _require(doc, key)
+    if not _numbers_only(value):
+        raise ValidationError(f"{key} must hold numbers only, not true, false, null or strings")
+    return value
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     unknown = sorted(set(doc) - set(_SCENARIO_FIELDS))
     if unknown:
@@ -442,15 +466,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
     try:
         scenario = Scenario(
             type_space=ts,
-            utility=UtilityParams(weights=_require(doc, "utility.weights")),
+            utility=UtilityParams(weights=_require_number(doc, "utility.weights")),
             influence=InfluenceParams(
-                linear=_require(doc, "influence.linear"),
-                quadratic=_require(doc, "influence.quadratic"),
+                linear=_require_number(doc, "influence.linear"),
+                quadratic=_require_number(doc, "influence.quadratic"),
             ),
-            population=Population(shares=_require(doc, "population.shares"), num_agents=num_agents),
-            capacities=_require(doc, "capacities"),
-            beta=_require(doc, "beta"),
-            z_max=_require(doc, "z_max"),
+            population=Population(shares=_require_number(doc, "population.shares"), num_agents=num_agents),
+            capacities=_require_number(doc, "capacities"),
+            beta=_require_number(doc, "beta"),
+            z_max=_require_number(doc, "z_max"),
         )
     except ValidationError:
         raise

@@ -117,6 +117,12 @@ def _with_field(document: str, field: str, value, tmp_path: Path) -> Path:
         ("horizon", True, "horizon must be a positive integer"),
         ("type_space.num_resources", True, "num_resources must be a positive integer"),
         ("type_space.num_zeta", True, "num_zeta must be a positive integer"),
+        ("truncation_tol", True, "truncation_tol must hold numbers only"),
+        ("discount", True, "discount must hold numbers only"),
+        ("rho0.0", False, "rho0 must hold numbers only"),
+        ("kernel.bin_edges.0", False, "kernel.bin_edges must hold numbers only"),
+        ("kernel.probabilities.0.0.0", True, "kernel.probabilities must hold numbers only"),
+        ("capacities.0", True, "capacities must hold numbers only"),
     ],
 )
 def test_dynamic_document_with_a_malformed_field_exits_2(field, value, message, tmp_path, capsys):
@@ -132,6 +138,15 @@ def test_dynamic_document_with_a_malformed_field_exits_2(field, value, message, 
         ("type_space.num_zeta", True, "num_zeta must be a positive integer"),
         ("type_space.num_resources", True, "num_resources must be a positive integer"),
         ("population.num_agents", True, "num_agents must be a positive integer"),
+        ("beta", True, "beta must hold numbers only"),
+        ("z_max", True, "z_max must hold numbers only"),
+        ("capacities.0", True, "capacities must hold numbers only"),
+        ("utility.weights.0.0", False, "utility.weights must hold numbers only"),
+        ("influence.linear.0.0", True, "influence.linear must hold numbers only"),
+        ("influence.quadratic.0.0", False, "influence.quadratic must hold numbers only"),
+        ("population.shares.0", True, "population.shares must hold numbers only"),
+        ("capacities.0", "1.0", "capacities must hold numbers only"),
+        ("beta", None, "beta must hold numbers only"),
     ],
 )
 def test_static_document_with_a_malformed_field_exits_2(field, value, message, tmp_path, capsys):

@@ -1,9 +1,13 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
+import lsvcg.dynamic
 import lsvcg.solver
 from lsvcg.dynamic import (
     DynamicScenario,
+    Policy,
     TransitionKernel,
     dynamic_incentive_gap,
     dynamic_mechanism_step,
@@ -16,6 +20,7 @@ from lsvcg.dynamic import (
     value_u_sigma,
 )
 from lsvcg.generate import dynamic_benchmark, random_dynamic_scenario, rng_for
+from lsvcg.incentives import gain_within_bound, misreport_gain_bound
 from lsvcg.mechanisms import large_scale_vcg
 from lsvcg.model import ValidationError, utility_value
 from lsvcg.solver import SolverError
@@ -46,6 +51,18 @@ def test_step_rejects_out_of_range_allocation():
     kernel = TransitionKernel(probabilities=np.eye(2)[:, :, None], bin_edges=[0.0, 1.0])
     with pytest.raises(ValidationError, match="bin range"):
         mean_field_step([0.5, 0.5], np.full((2, 1), 2.0), kernel)
+
+
+@pytest.mark.parametrize("rho", [[np.nan, 1.0], [0.7, 0.7], [[0.5, 0.5]]])
+def test_monte_carlo_step_rejects_what_the_exact_step_rejects(rho):
+    dyn = dynamic_benchmark(kernel="allocation", discount=0.3, num_bins=4)
+    z = np.array([[1.2], [3.4]])
+    for step in (
+        lambda: mean_field_step(rho, z, dyn.kernel),
+        lambda: mean_field_step_monte_carlo(rho, z, dyn.kernel, 100, rng_for(31, 0)),
+    ):
+        with pytest.raises(ValidationError, match="state distribution must be a finite simplex vector"):
+            step()
 
 
 def test_flow_matches_monte_carlo():
@@ -245,23 +262,158 @@ def test_incentive_rows_carry_the_truthful_slot(kernel, num_agents):
 
 @pytest.mark.parametrize("num_agents", [None, 10])
 def test_truthful_slot_is_priced_once(num_agents, monkeypatch):
-    # finite: one truthful slot plus one per (type, misreport); frozen: one
-    import lsvcg.dynamic
-
+    # a binned market reads the policy at its slot, so no two slots share one:
+    # one truthful clearing per slot, plus one per (type, misreport) when finite
     dyn = dynamic_benchmark(kernel="allocation", discount=0.5, num_bins=4)
     policy = plan_policy(dyn, "myopic")
-    step = lsvcg.dynamic.dynamic_mechanism_step
+    clear = lsvcg.dynamic._clear_slot
     slots = []
 
-    def counted(reports, dyn, policy, t, *args, **kwargs):
+    def counted(reports, dyn, policy, t):
         slots.append(t)
-        return step(reports, dyn, policy, t, *args, **kwargs)
+        return clear(reports, dyn, policy, t)
 
-    monkeypatch.setattr(lsvcg.dynamic, "dynamic_mechanism_step", counted)
+    monkeypatch.setattr(lsvcg.dynamic, "_clear_slot", counted)
     dynamic_incentive_gap(dyn, policy, num_agents)
     num_types = dyn.num_types
     per_slot = 1 if num_agents is None else 1 + num_types * (num_types - 1)
     assert slots == [t for t in range(dyn.horizon) for _ in range(per_slot)]
+
+
+def _misreported_shares(rho_t: np.ndarray, num_agents: int):
+    """Reported shares of every (type, misreport) market at one slot."""
+    for theta, report in permutations(range(rho_t.size), 2):
+        if rho_t[theta] * num_agents < 1.0 - 1e-9:
+            continue
+        shares = rho_t.copy()
+        shares[theta] -= 1.0 / num_agents
+        shares[report] += 1.0 / num_agents
+        yield np.maximum(shares, 0.0)
+
+
+@pytest.mark.parametrize("num_agents", [None, 10])
+def test_each_distinct_mixing_market_is_solved_once(num_agents, monkeypatch):
+    dyn = dynamic_benchmark(kernel="mixing", discount=0.9)
+    solve = lsvcg.dynamic.solve_weighted
+    inputs = []
+
+    def counted(scenario, weights, capacities=None):
+        inputs.append(np.asarray(weights, dtype=float).tobytes())
+        return solve(scenario, weights, capacities)
+
+    monkeypatch.setattr(lsvcg.dynamic, "solve_weighted", counted)
+    policy = plan_policy(dyn, "myopic")
+    states = {rho.tobytes() for rho in policy.rho_path[:-1]}
+    assert len(states) < dyn.horizon  # the flow reaches a bit-for-bit stationary state
+    assert sorted(inputs) == sorted(states)
+
+    inputs.clear()
+    dynamic_incentive_gap(dyn, policy, num_agents)
+    # the truthful slots are the plan's; each distinct misreported market is solved once
+    expected = set()
+    if num_agents is not None:
+        for rho_t in policy.rho_path[:-1]:
+            expected.update(shares.tobytes() for shares in _misreported_shares(rho_t, num_agents))
+    assert sorted(inputs) == sorted(expected)
+
+
+def _reference_plan(dyn: DynamicScenario, mode: str) -> Policy:
+    """``plan_policy`` without the memo: every slot of every rollout is cleared afresh."""
+
+    def myopic_slot(t, rho):
+        solution = lsvcg.solver.solve_weighted(dyn.static, rho, dyn.static.capacities)
+        return solution.z, solution.p
+
+    policy = lsvcg.dynamic._policy(dyn, mode, myopic_slot)
+    while mode == "fixed-point":
+        previous = policy
+
+        def mechanism_slot(t, rho):
+            slot = dynamic_mechanism_step(rho, dyn, previous, t)
+            return slot.z, slot.p
+
+        policy = lsvcg.dynamic._policy(dyn, mode, mechanism_slot)
+        if np.array_equal(policy.allocations, previous.allocations):
+            break
+    return policy
+
+
+def _reference_gap(dyn: DynamicScenario, policy: Policy, num_agents: int | None):
+    """``dynamic_incentive_gap`` with ``dynamic_mechanism_step`` on every truthful
+    and misreported market: ``(per_type_gap, max_gap, holds, slot)`` per slot."""
+    rows = []
+    for t in range(dyn.horizon):
+        rho_t = policy.rho_path[t]
+        truthful_slot = dynamic_mechanism_step(rho_t, dyn, policy, t)
+
+        def payoff(theta, report):
+            slot = truthful_slot
+            if num_agents is not None and report != theta:
+                shares = rho_t.copy()
+                shares[theta] -= 1.0 / num_agents
+                shares[report] += 1.0 / num_agents
+                if shares[theta] < -1e-12:
+                    return -np.inf
+                slot = dynamic_mechanism_step(np.maximum(shares, 0.0), dyn, policy, t)
+            return value_u_sigma(dyn, policy, theta, slot.z[report], t) - float(slot.payments[report])
+
+        per_type = {}
+        for theta in range(dyn.num_types):
+            if num_agents is not None and rho_t[theta] * num_agents < 1.0 - 1e-9:
+                continue
+            truthful = payoff(theta, theta)
+            best = 0.0
+            for alt in range(dyn.num_types):
+                if alt != theta:
+                    best = max(best, payoff(theta, alt) - truthful)
+            per_type[theta] = best
+        max_gap = max(per_type.values()) if per_type else 0.0
+        if num_agents is None:
+            holds = max_gap <= 1e-9
+        else:
+            holds = gain_within_bound(max_gap, misreport_gain_bound(dyn.static, rho_t, num_agents))
+        rows.append((per_type, max_gap, holds, truthful_slot))
+    return rows
+
+
+def _assert_same_plan_and_gaps(dyn: DynamicScenario, mode: str):
+    policy = plan_policy(dyn, mode)
+    reference = _reference_plan(dyn, mode)
+    assert policy.mode == reference.mode and policy.welfare == reference.welfare
+    for name in ("allocations", "prices", "rho_path", "value_table", "continuation"):
+        assert np.array_equal(getattr(policy, name), getattr(reference, name)), name
+    for num_agents in (None, 10):
+        rows = dynamic_incentive_gap(dyn, policy, num_agents)
+        assert len(rows) == dyn.horizon
+        for row, (per_type, max_gap, holds, slot) in zip(rows, _reference_gap(dyn, reference, num_agents)):
+            assert row.per_type_gap == per_type and row.max_gap == max_gap and row.holds == holds
+            assert row.slot.t == slot.t
+            for name in ("z", "p", "payments", "payoffs"):
+                assert np.array_equal(getattr(row.slot, name), getattr(slot, name)), name
+
+
+@pytest.mark.parametrize("mode", ["myopic", "fixed-point"])
+@pytest.mark.parametrize("kernel", ["mixing", "allocation", "switching"])
+@pytest.mark.parametrize("discount", [0.5, 0.9])
+def test_memoized_plan_and_gaps_equal_the_unmemoized_reference(kernel, discount, mode):
+    _assert_same_plan_and_gaps(dynamic_benchmark(kernel=kernel, discount=discount, num_bins=4), mode)
+
+
+@pytest.mark.parametrize("mode", ["myopic", "fixed-point"])
+@pytest.mark.parametrize(("seed", "num_theta"), [(0, 2), (1, 2), (2, 3)])
+def test_memoized_gaps_equal_the_reference_on_random_flows(seed, num_theta, mode):
+    _assert_same_plan_and_gaps(random_dynamic_scenario(rng_for(seed, 0), num_theta=num_theta), mode)
+
+
+@pytest.mark.parametrize("t", [-1, "horizon"])
+def test_slot_index_outside_the_horizon_is_rejected(t):
+    dyn = dynamic_benchmark(kernel="mixing", discount=0.5)
+    policy = plan_policy(dyn, "myopic")
+    t = dyn.horizon if t == "horizon" else t
+    with pytest.raises(ValidationError, match="outside the planned horizon"):
+        dynamic_mechanism_step(dyn.rho0, dyn, policy, t)
+    with pytest.raises(ValidationError, match="outside the planned horizon"):
+        value_u_sigma(dyn, policy, 0, [0.5], t)
 
 
 def test_dynamic_document_round_trip():
@@ -349,8 +501,6 @@ def test_fixed_point_slots_allocate_the_plan(kernel, discount):
 
 
 def test_fixed_point_that_does_not_settle_is_a_solver_error(monkeypatch):
-    import lsvcg.dynamic
-
     dyn = dynamic_benchmark(kernel="switching", discount=0.5)
     monkeypatch.setattr(lsvcg.dynamic, "MAX_PLAN_ITERATIONS", 1)
     with pytest.raises(SolverError, match=r"did not settle in 1 iterations: .* at \d+ of 20 slots"):
