@@ -14,10 +14,10 @@ Gains are per head: the deviator's own payoff difference
 ``u(z) - p . (f_true(z) - beta C)`` between its best misreport and the truth.
 ``holds`` compares that per-head gain with the ceiling (``gain_within_bound``).
 
-Note on observed rates: deviations that understate an agent's influence
+Note on observed rates: reported_counts that understate an agent's influence
 depress prices by Theta(1/I) and yield a first-order windfall on the agent's
 true consumption, so the measured best gain decays like 1/I on scenarios
-where such deviations exist, while the ceiling decays like 1/I^2 with a much
+where such reported_counts exist, while the ceiling decays like 1/I^2 with a much
 larger constant.  Per head, the gain therefore crosses the ceiling at large
 ``I`` (from about ``I = 2e6`` on the scaled-twin benchmark).  See the
 incentive-rate experiment script.
@@ -32,7 +32,7 @@ import numpy as np
 
 from .mechanisms import shadow_price_outcome
 from .model import Population, Profile, Scenario, ValidationError
-from .solver import solve_weighted
+from .solver import _slack, clear_markets
 
 __all__ = [
     "IncentiveReport",
@@ -111,15 +111,18 @@ def incentive_gap(
     of the deviation is included.  ``opponent_counts`` optionally fixes the
     other agents' reports (integer counts summing to ``num_agents - 1``);
     by default opponents report truthfully, and the truthful market is
-    solved once.
+    solved once.  All the markets of a call are cleared together by
+    :func:`~lsvcg.solver.clear_markets`.
     """
     ts = scenario.type_space
     num_types = ts.num_types
 
+    # Every (truth, report) pair is priced on one of the markets in `reported`.
+    market_of = np.zeros((num_types, num_types), dtype=int)
     if num_agents is None:
         if opponent_counts is not None:
             raise ValidationError("opponent_counts needs a finite num_agents")
-        truthful_shares, bound = base_rho.shares, 0.0
+        reported, bound = [base_rho.shares], 0.0
     else:
         counts = base_rho.shares * num_agents
         if np.any(np.abs(counts - np.round(counts)) > 1e-9):
@@ -131,9 +134,24 @@ def incentive_gap(
                 raise ValidationError("opponent_counts must be nonnegative, one per flattened type")
             if int(opponent_counts.sum()) != num_agents - 1:
                 raise ValidationError("opponent_counts must sum to num_agents - 1")
-        truthful_shares, bound = counts / num_agents, misreport_gain_bound(scenario, base_rho, num_agents)
-    if opponent_counts is None:
-        truthful_market = solve_weighted(scenario, truthful_shares, scenario.capacities)
+        # against truthful opponents a truthful report leaves the truthful market, row 0
+        reported_counts = [counts] if opponent_counts is None else []
+        for truth_idx in range(num_types):
+            for report_idx in range(num_types):
+                if opponent_counts is None:
+                    if report_idx == truth_idx:
+                        continue
+                    dev = counts.copy()
+                    dev[truth_idx] -= 1
+                else:
+                    dev = opponent_counts.copy()
+                dev[report_idx] += 1
+                market_of[truth_idx, report_idx] = len(reported_counts)
+                reported_counts.append(dev)
+        reported = [dev / num_agents for dev in reported_counts]
+        bound = misreport_gain_bound(scenario, base_rho, num_agents)
+    weights = np.array(reported)
+    prices, allocations, _ = clear_markets(scenario, weights, scenario.capacities)
 
     def payoff(truth_idx: int, report_idx: int) -> float:
         """Per-head payoff of a ``truth_idx`` agent announcing ``report_idx``.
@@ -142,20 +160,17 @@ def incentive_gap(
         frozen or re-solved with the deviator's report counted; the agent is
         charged as a mean-field probe, so it receives the rebate ``beta * C_n``.
         """
-        if num_agents is None or (opponent_counts is None and report_idx == truth_idx):
-            solution = truthful_market  # the report leaves the market unchanged
-        else:
-            if opponent_counts is None:
-                dev = counts.copy()
-                dev[truth_idx] -= 1
-            else:
-                dev = opponent_counts.copy()
-            dev[report_idx] += 1
-            solution = solve_weighted(scenario, dev / num_agents, scenario.capacities)
+        m = market_of[truth_idx, report_idx]
+        z = allocations[m]
         probe = np.zeros((num_types, num_types), dtype=int)
         probe[truth_idx, report_idx] = 1
         outcome = shadow_price_outcome(
-            Profile(ts, probe), scenario, solution.z, solution.p, solution.constraint_slack, mean_field=True
+            Profile(ts, probe),
+            scenario,
+            z,
+            prices[m],
+            _slack(scenario, weights[m], z, scenario.capacities),
+            mean_field=True,
         )
         return float(outcome.cell_payoffs[0])
 

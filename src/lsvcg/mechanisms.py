@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Population, Profile, Scenario, ValidationError, _frozen_array, utility_value
-from .solver import solve_weighted
+from .solver import _slack, clear_markets, solve_weighted
 
 __all__ = [
     "Outcome",
@@ -105,7 +105,8 @@ def vcg_exact(profile: Profile, scenario: Scenario) -> Outcome:
     loads fitting the total capacities.  Agent ``i`` pays the others'
     optimal welfare without it minus their reported welfare at the joint
     optimum.  Identical reports share identical subproblems, so the
-    nominally ``I + 1`` solves reduce to one per distinct report plus one.
+    nominally ``I + 1`` solves reduce to one per distinct report plus one,
+    all cleared together by :func:`~lsvcg.solver.clear_markets`.
     """
     scenario.check_profile(profile)
     num_agents = profile.num_agents
@@ -118,33 +119,38 @@ def vcg_exact(profile: Profile, scenario: Scenario) -> Outcome:
         )
 
     counts = profile.report_counts()
-    full = solve_weighted(scenario, counts, scenario.capacities)
-    w = scenario.type_weights()
-    per_type_utility = np.sum(w * np.log1p(full.z), axis=1)
-    reported_welfare = float(counts @ per_type_utility)
-
-    payment_of_report = np.zeros(scenario.type_space.num_types)
+    # The joint market, then one leave-one-out market per distinct report.
+    markets, leave_out = [counts], []
     for r_idx in np.flatnonzero(counts > 0):
         others = counts.copy()
         others[r_idx] -= 1.0
-        if others.sum() <= 0:
-            continue
-        rest = solve_weighted(scenario, others, scenario.capacities)
-        rest_welfare = float(others @ np.sum(w * np.log1p(rest.z), axis=1))
+        if others.sum() > 0:
+            markets.append(others)
+            leave_out.append(r_idx)
+    weights = np.array(markets)
+    prices, allocations, _ = clear_markets(scenario, weights, scenario.capacities)
+    z = allocations[0]
+    w = scenario.type_weights()
+    per_type_utility = np.sum(w * np.log1p(z), axis=1)
+    reported_welfare = float(counts @ per_type_utility)
+
+    payment_of_report = np.zeros(scenario.type_space.num_types)
+    for r_idx, others, rest_z in zip(leave_out, weights[1:], allocations[1:]):
+        rest_welfare = float(others @ np.sum(w * np.log1p(rest_z), axis=1))
         others_at_joint = reported_welfare - per_type_utility[r_idx]
         payment_of_report[r_idx] = rest_welfare - others_at_joint
 
     cells = profile.cells
-    allocations = full.z[cells.report_idx]
+    cell_allocations = z[cells.report_idx]
     payments = payment_of_report[cells.report_idx]
     return Outcome(
         profile=profile,
-        cell_allocations=allocations,
+        cell_allocations=cell_allocations,
         cell_payments=payments,
-        cell_payoffs=_cell_payoffs(scenario, cells.true_idx, allocations, payments),
-        prices=full.p,
+        cell_payoffs=_cell_payoffs(scenario, cells.true_idx, cell_allocations, payments),
+        prices=prices[0],
         beta=scenario.beta,
-        constraint_slack=full.constraint_slack,
+        constraint_slack=_slack(scenario, counts, z, scenario.capacities),
     )
 
 

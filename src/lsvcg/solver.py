@@ -9,7 +9,8 @@ The program solved here is
 with one allocation row per flattened type.  Utility and influence are both
 separable across resources, so the dual decouples: for each resource the
 aggregate demand at price p is monotone nonincreasing, and the market-clearing
-price is found by bisection to machine precision.  Head-count instances are
+price is found by bisection to machine precision, for every (market, resource)
+pair of a batch at once (``clear_markets``).  Head-count instances are
 handled by rescaling capacities so that per-agent allocations coincide with
 the per-type rows.
 
@@ -38,6 +39,7 @@ __all__ = [
     "solve_population",
     "solve_agent_list",
     "solve_weighted",
+    "clear_markets",
     "kkt_residual",
     "aggregate_utility",
     "price_sensitivity",
@@ -59,6 +61,9 @@ PRICE_TOLERANCE = 1e-10
 #: Step budget of every bisection; halving ``[0, hi]`` reaches machine
 #: precision well within it.
 MAX_BISECTION_STEPS = 200
+# Array elements (markets x types x resources) that clear_markets bisects
+# at once: each of its temporaries stays near half a megabyte.
+_BATCH_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -95,34 +100,6 @@ class SensitivityResult:
         object.__setattr__(self, "dp_drho", arr)
 
 
-def _best_response_column(w, a, b, price, z_max):
-    """Vectorized per-type maximizer of w*log(1+z) - price*(a*z + b*z^2) on [0, z_max].
-
-    ``w``, ``a``, ``b`` are aligned 1-D arrays for one resource; ``price`` is
-    a scalar.  Stationarity w/(1+z) = price*(a + 2b z) is a quadratic in z,
-    solved in closed form and clamped.
-    """
-    if price <= 0.0:
-        return np.full(w.shape, z_max)
-    z = np.zeros(w.shape)
-    interior = w > price * a  # marginal utility at 0 exceeds marginal cost
-    if np.any(interior):
-        wi, ai, bi = w[interior], a[interior], b[interior]
-        zi = np.empty(wi.shape)
-        lin = bi == 0.0
-        if np.any(lin):
-            zi[lin] = wi[lin] / (price * ai[lin]) - 1.0
-        quad = ~lin
-        if np.any(quad):
-            # 2pb z^2 + p(a + 2b) z + (pa - w) = 0, positive root.
-            A = 2.0 * price * bi[quad]
-            B = price * (ai[quad] + 2.0 * bi[quad])
-            Cc = price * ai[quad] - wi[quad]
-            zi[quad] = (-B + np.sqrt(B * B - 4.0 * A * Cc)) / (2.0 * A)
-        z[interior] = zi
-    return np.clip(z, 0.0, z_max)
-
-
 def best_response(theta: int, zeta: int, p, scenario: Scenario) -> np.ndarray:
     """Price-taking optimal allocation of a ``(theta, zeta)`` agent.
 
@@ -134,27 +111,89 @@ def best_response(theta: int, zeta: int, p, scenario: Scenario) -> np.ndarray:
     return _response_matrix(scenario, p)[scenario.type_space.flat_index(theta, zeta)]
 
 
+def _responder(scenario: Scenario):
+    """Closed-form best responses on (market, resource) lanes.
+
+    Returns ``respond``, ``load`` and ``hi``.  ``respond(p)`` maps positive
+    prices ``p`` (K, N) to the maximizers ``z`` (K, N, R) of
+    ``w log(1+z) - p (a z + b z^2)`` on ``[0, z_max]``.  Stationarity
+    ``w/(1+z) = p (a + 2 b z)`` is linear in ``z`` where ``b = 0`` and a
+    quadratic otherwise, solved for its positive root; a type takes zero
+    where ``w <= p a``.  ``load(z)`` is every type's load ``a z + b z^2``,
+    and ``hi`` (N,) the price ``max_r w/a`` above which no type demands
+    anything.  The type tables are laid out (N, R) with C-contiguous rows,
+    so demand sums over types are 1-D dots.
+    """
+    w = np.ascontiguousarray(scenario.type_weights().T)
+    a = np.ascontiguousarray(scenario.type_linear().T)
+    b = np.ascontiguousarray(scenario.type_quadratic().T)
+    linear = b == 0.0
+    all_linear, any_linear = bool(np.all(linear)), bool(np.any(linear))
+    # Linear lanes solve the quadratic too, with a coefficient that keeps its
+    # root finite; np.where then discards it.
+    b_safe = np.where(linear, 1.0, b)
+    two_b, a_2b = 2.0 * b_safe, a + 2.0 * b_safe
+    z_max = scenario.z_max
+
+    def respond(p: np.ndarray) -> np.ndarray:
+        p = p[..., None]
+        pa = p * a
+        if all_linear:
+            z = w / pa - 1.0
+        else:
+            A = p * two_b
+            B = p * a_2b
+            # Where w <= p a the clamp makes the root exactly zero; elsewhere
+            # it changes nothing.
+            C = np.minimum(pa - w, 0.0)
+            z = (np.sqrt(B * B - 4.0 * A * C) - B) / (2.0 * A)
+            if any_linear:
+                z = np.where(linear, w / pa - 1.0, z)
+        # Where w > p a the root is nonnegative; elsewhere it is not positive.
+        return np.minimum(np.maximum(z, 0.0), z_max)
+
+    def load(z: np.ndarray) -> np.ndarray:
+        return a * z if all_linear else a * z + b * z * z
+
+    return respond, load, np.max(w / a, axis=1)
+
+
+def _allocations(respond, p: np.ndarray, z_max: float) -> np.ndarray:
+    """``respond`` at nonnegative prices ``p`` (K, N): a lane at price zero takes ``z_max``."""
+    free = p <= 0.0
+    if not free.any():
+        return respond(p)
+    return np.where(free[..., None], z_max, respond(np.where(free, 1.0, p)))
+
+
 def _response_matrix(scenario: Scenario, p: np.ndarray) -> np.ndarray:
     """Best responses of every flattened type at prices ``p`` ((R, N) array)."""
-    w = scenario.type_weights()
-    a = scenario.type_linear()
-    b = scenario.type_quadratic()
-    z = np.empty_like(w)
-    for n in range(z.shape[1]):
-        z[:, n] = _best_response_column(w[:, n], a[:, n], b[:, n], float(p[n]), scenario.z_max)
-    return z
+    respond = _responder(scenario)[0]
+    return _allocations(respond, np.asarray(p, dtype=float)[None, :], scenario.z_max)[0].T.copy()
 
 
 def _influence_matrix(scenario: Scenario, z: np.ndarray) -> np.ndarray:
     return scenario.influence.load(scenario.type_zeta(), z)
 
 
+def _demand(weights: np.ndarray, loads: np.ndarray) -> np.ndarray:
+    """Demand (K, N) of markets ``weights`` (K, R) at ``loads`` (K or 1, N, R).
+
+    Each entry is one stacked 1-D dot over contiguous rows: that sums in the
+    same order as ``weights[k] @ loads[k, n]``, which einsum, ``np.sum`` and
+    matmul over strided rows do not.
+    """
+    return (loads[:, :, None, :] @ weights[:, None, :, None])[:, :, 0, 0]
+
+
 def _clear_price(demand, capacity, hi: float, tolerance: float) -> tuple[float, int]:
     """Clearing price of a nonincreasing ``demand`` curve, and the bisection steps taken.
 
-    Zero if ``demand(0)`` fits ``capacity``; otherwise the feasible end of
-    ``[0, hi]`` halved to machine precision or ``MAX_BISECTION_STEPS``.  Raises
-    ``SolverError`` if demand there misses by more than ``tolerance * max(capacity, 1)``.
+    The scalar twin of :func:`_clear_prices`, kept for the binned dynamic slot,
+    whose demand is a Python loop over bins.  Zero if ``demand(0)`` fits
+    ``capacity``; otherwise the feasible end of ``[0, hi]`` halved to machine
+    precision or ``MAX_BISECTION_STEPS``.  Raises ``SolverError`` if demand
+    there misses by more than ``tolerance * max(capacity, 1)``.
     """
     if demand(0.0) <= capacity:
         return 0.0, 0
@@ -169,12 +208,104 @@ def _clear_price(demand, capacity, hi: float, tolerance: float) -> tuple[float, 
         else:
             hi = mid
     residual = abs(demand(hi) - capacity)
-    if residual > tolerance * max(capacity, 1.0):
+    if not residual <= tolerance * max(capacity, 1.0):
         raise SolverError(
             f"failed to clear: |demand - capacity| = {residual:.3e} "
             f"at bracket [{lo!r}, {hi!r}] after {steps} bisection steps"
         )
     return hi, steps
+
+
+def _clear_prices(
+    demand, at_zero: np.ndarray, capacity: np.ndarray, hi: np.ndarray, tolerance: float, first_market: int
+):
+    """Clearing prices of (market, resource) lanes, and the bisection steps of each.
+
+    Every lane follows :func:`_clear_price`'s rule: zero where its demand at
+    price zero, ``at_zero`` (K, N), fits ``capacity`` (N,); otherwise the
+    feasible end of ``[0, hi]`` halved until the midpoint equals an end, or
+    for ``MAX_BISECTION_STEPS``.  ``demand`` maps positive prices (K, N) to
+    demands.  Raises ``SolverError`` naming the first lane whose demand at its
+    price misses by more than ``tolerance * max(capacity, 1)``; markets are
+    numbered from ``first_market``.
+    """
+    free = at_zero <= capacity
+    hi = np.broadcast_to(hi, at_zero.shape)
+    # A free lane is pinned at lo == hi, so it never moves and costs no step.
+    lo = np.where(free, hi, 0.0)
+    steps = np.zeros(at_zero.shape, dtype=np.int64)
+    for _ in range(MAX_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        moving = (mid != lo) & (mid != hi)
+        if not moving.any():
+            break
+        steps += moving
+        # A lane that has stopped sits at mid == lo, where demand exceeds
+        # capacity, or at mid == hi, where it does not unless hi is still the
+        # top of the bracket: either way its price does not move.
+        over = demand(mid) > capacity
+        lo = np.where(over, mid, lo)
+        hi = np.where(over, hi, mid)
+    residual = np.abs(demand(hi) - capacity)
+    failed = ~free & ~(residual <= tolerance * np.maximum(capacity, 1.0))
+    if failed.any():
+        k, n = (int(i) for i in np.argwhere(failed)[0])
+        raise SolverError(
+            f"market {first_market + k}, resource {n} failed to clear: "
+            f"|demand - capacity| = {residual[k, n]:.3e} at bracket "
+            f"[{float(lo[k, n])!r}, {float(hi[k, n])!r}] after {int(steps[k, n])} bisection steps"
+        )
+    return np.where(free, 0.0, hi), steps
+
+
+def clear_markets(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clear K weighted markets that share the scenario and ``capacities``.
+
+    Row ``k`` of ``weights`` (K, R) weighs the flattened types of market
+    ``k``; rows need not sum to one, and a type may carry zero weight.  All
+    (market, resource) prices are found in one array bisection, each bit for
+    bit what a scalar bisection of that resource's demand gives; markets go
+    in batches of ``_BATCH_ELEMENTS // (R * N)``, which bounds memory.
+    Returns the prices (K, N), every type's allocation at them (K, R, N),
+    and the bisection steps of each market (K,).
+    """
+    num_types, num_resources = scenario.type_space.num_types, scenario.type_space.num_resources
+    weights = np.ascontiguousarray(weights, dtype=float)
+    if (
+        weights.ndim != 2
+        or weights.shape[1] != num_types
+        or not np.all(np.isfinite(weights))
+        or np.any(weights < 0)
+        or np.any(weights.sum(axis=1) <= 0)
+    ):
+        raise ValidationError(
+            "weights must be finite and nonnegative with positive total, one per flattened type in each market"
+        )
+    caps = np.asarray(capacities, dtype=float)
+    if caps.shape != (num_resources,) or not np.all(np.isfinite(caps)) or np.any(caps <= 0):
+        raise ValidationError("capacities must be finite and strictly positive, one per resource")
+
+    respond, load, hi = _responder(scenario)
+    at_z_max = load(np.full((1, num_resources, num_types), scenario.z_max))
+    num_markets = len(weights)
+    prices = np.empty((num_markets, num_resources))
+    allocations = np.empty((num_markets, num_types, num_resources))
+    steps = np.empty(num_markets, dtype=np.int64)
+    size = max(1, _BATCH_ELEMENTS // (num_types * num_resources))
+    for start in range(0, num_markets, size):
+        batch = slice(start, start + size)
+        rows = weights[batch]
+        prices[batch], lane_steps = _clear_prices(
+            lambda p, rows=rows: _demand(rows, load(respond(p))),
+            _demand(rows, at_z_max),
+            caps,
+            hi,
+            PRICE_TOLERANCE,
+            start,
+        )
+        allocations[batch] = _allocations(respond, prices[batch], scenario.z_max).transpose(0, 2, 1)
+        steps[batch] = lane_steps.sum(axis=1)
+    return prices, allocations, steps
 
 
 def solve_weighted(scenario: Scenario, weights, capacities=None) -> PrimalDualSolution:
@@ -183,49 +314,30 @@ def solve_weighted(scenario: Scenario, weights, capacities=None) -> PrimalDualSo
     ``weights`` need not sum to one, and individual types may carry zero
     weight (their best-response rows are still reported, so a full menu of
     per-type allocations exists even for unrepresented reports).  This is the
-    entry point shared by the share-normalized and head-count solvers, the
-    leave-one-out subproblems, and finite-difference probes.
+    entry point shared by the share-normalized and head-count solvers and
+    finite-difference probes; :func:`clear_markets` clears many markets at once.
     """
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (scenario.type_space.num_types,) or np.any(weights < 0) or weights.sum() <= 0:
-        raise ValidationError("weights must be nonnegative with positive total, one per flattened type")
+    if weights.ndim != 1:
+        raise ValidationError("weights must be one per flattened type")
     caps = scenario.capacities if capacities is None else np.asarray(capacities, dtype=float)
-    if np.any(caps <= 0):
-        raise ValidationError("capacities must be strictly positive")
-
-    w = scenario.type_weights()
-    a = scenario.type_linear()
-    b = scenario.type_quadratic()
-    num_resources = scenario.type_space.num_resources
-    p = np.zeros(num_resources)
-    total_iters = 0
-
-    for n in range(num_resources):
-        wn, an, bn = w[:, n], a[:, n], b[:, n]
-
-        def demand(price: float) -> float:
-            z = _best_response_column(wn, an, bn, price, scenario.z_max)
-            return float(weights @ (an * z + bn * z * z))
-
-        try:
-            # demand is zero at the top of the bracket
-            p[n], steps = _clear_price(demand, caps[n], float(np.max(wn / an)), PRICE_TOLERANCE)
-        except SolverError as exc:
-            raise SolverError(f"market for resource {n} {exc}") from None
-        total_iters += steps
-
-    z = _response_matrix(scenario, p)
-    slack = caps - weights @ _influence_matrix(scenario, z)
+    prices, allocations, steps = clear_markets(scenario, weights[None, :], caps)
+    z = allocations[0]
     solution = PrimalDualSolution(
         z=z,
-        p=p,
+        p=prices[0],
         kkt_residual=0.0,
-        constraint_slack=slack,
-        iterations=total_iters,
+        constraint_slack=_slack(scenario, weights, z, caps),
+        iterations=int(steps[0]),
         weights=weights,
         capacities=caps,
     )
     return replace(solution, kkt_residual=kkt_residual(solution, scenario))
+
+
+def _slack(scenario: Scenario, weights: np.ndarray, z: np.ndarray, capacities: np.ndarray) -> np.ndarray:
+    """Capacity minus the ``weights``-weighted load of allocations ``z`` (R, N)."""
+    return capacities - weights @ _influence_matrix(scenario, z)
 
 
 def solve_population(scenario: Scenario, rho: Population | None = None) -> PrimalDualSolution:

@@ -175,17 +175,18 @@ def test_opponents_need_a_finite_population(bench_incentive):
 
 def test_truthful_market_is_solved_once(bench_incentive, monkeypatch):
     # against truthful opponents only the R(R-1) misreports move the market;
-    # fixed opponents make every (truth, report) pair a market of its own
+    # fixed opponents make every (truth, report) pair a market of its own.
+    # All of a call's markets are cleared in one batch.
     import lsvcg.incentives
 
-    solve_weighted = lsvcg.incentives.solve_weighted
-    calls = []
+    clear_markets = lsvcg.incentives.clear_markets
+    batches = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve_weighted(*args, **kwargs)
+    def counted(scenario, weights, capacities):
+        batches.append(len(weights))
+        return clear_markets(scenario, weights, capacities)
 
-    monkeypatch.setattr(lsvcg.incentives, "solve_weighted", counted)
+    monkeypatch.setattr(lsvcg.incentives, "clear_markets", counted)
     rho = bench_incentive.population
     num_types = bench_incentive.type_space.num_types
     opponents = rho.counts().copy()
@@ -195,9 +196,9 @@ def test_truthful_market_is_solved_once(bench_incentive, monkeypatch):
         (10, None, 1 + num_types * (num_types - 1)),
         (10, opponents, num_types**2),
     ]:
-        calls.clear()
+        batches.clear()
         incentive_gap(bench_incentive, rho, num_agents, opponent_counts=opponent_counts)
-        assert len(calls) == expected
+        assert batches == [expected]
 
 
 def test_generic_types_lose_incentive_entirely(rng):

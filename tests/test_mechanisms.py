@@ -75,6 +75,31 @@ def test_scale_guard():
         vcg_exact(Profile.from_agents(assignments, scenario.type_space), scenario)
 
 
+def test_joint_and_leave_one_out_markets_are_cleared_once(bench_gap, monkeypatch):
+    # the joint market plus one per distinct report whose others are
+    # nonempty, all in one batch
+    import lsvcg.mechanisms
+
+    clear_markets = lsvcg.mechanisms.clear_markets
+    batches = []
+
+    def counted(scenario, weights, capacities):
+        batches.append(len(weights))
+        return clear_markets(scenario, weights, capacities)
+
+    monkeypatch.setattr(lsvcg.mechanisms, "clear_markets", counted)
+    ts = bench_gap.type_space
+    types = [ts.unflatten(r) for r in range(ts.num_types)]
+    for agents, expected in [
+        (types[:1], 1),
+        (types[:1] * 3, 2),
+        (types * 2 + types[:1], 1 + ts.num_types),
+    ]:
+        batches.clear()
+        vcg_exact(Profile.from_agents(agents, ts), bench_gap)
+        assert batches == [expected]
+
+
 def test_truth_is_dominant_in_exhaustive_sweep():
     # two utility types, shared influence: the feasible set is report-free,
     # so the exact mechanism is strategyproof; sweep every opponent profile
