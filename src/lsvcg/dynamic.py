@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Literal
 
 import numpy as np
@@ -37,7 +38,7 @@ from .model import (
     scenario_to_dict,
     utility_value,
 )
-from .solver import SolverError, _clear_price, solve_weighted
+from .solver import SolverError, _clear_price, _clear_prices, clear_markets, solve_weighted
 
 __all__ = [
     "TransitionKernel",
@@ -323,18 +324,18 @@ def _policy(dyn: DynamicScenario, mode: str, allocate) -> Policy:
     )
 
 
-def _cleared_once(clear, by_slot: bool):
+def _cleared_once(clear):
     """Wrap ``clear(t, shares) -> (z, p)`` so that it clears each distinct market once.
 
-    A market is its reported shares, and also its slot when ``by_slot`` (the
-    binned clearing reads the policy at ``t``).  The memo lives as long as the
-    wrapper, one rollout or one :func:`dynamic_incentive_gap` call, and holds
-    ``(z, p)`` only, since a slot's payoffs depend on ``t``.
+    For slot-free clearings only (a static solve, or an allocation-independent
+    kernel): a market is its reported shares.  A binned clearing reads the
+    policy at ``t``, and a rollout visits each ``t`` once, so it has nothing
+    to share.  The memo lives as long as the wrapper, one rollout.
     """
     memo: dict = {}
 
     def clear_once(t: int, shares: np.ndarray):
-        key = (t, shares.tobytes()) if by_slot else shares.tobytes()
+        key = shares.tobytes()
         if key not in memo:
             memo[key] = clear(t, shares)
         return memo[key]
@@ -354,8 +355,8 @@ def plan_policy(dyn: DynamicScenario, mode: Literal["myopic", "fixed-point"] = "
     continuation (policy iteration), until the allocations repeat bit for
     bit; every slot of the returned plan is then what the mechanism
     allocates.  It raises :class:`SolverError` if the allocations still move
-    after ``MAX_PLAN_ITERATIONS`` mechanism rollouts.  Each rollout clears
-    each distinct market once.
+    after ``MAX_PLAN_ITERATIONS`` mechanism rollouts.  A rollout whose
+    clearing does not depend on the slot clears each distinct market once.
     """
     if mode not in ("myopic", "fixed-point"):
         raise ValidationError(f"unknown planning mode {mode!r}")
@@ -364,7 +365,7 @@ def plan_policy(dyn: DynamicScenario, mode: Literal["myopic", "fixed-point"] = "
         solution = solve_weighted(dyn.static, rho, dyn.static.capacities)
         return solution.z, solution.p
 
-    policy = _policy(dyn, mode, _cleared_once(myopic_slot, by_slot=False))
+    policy = _policy(dyn, mode, _cleared_once(myopic_slot))
     if mode == "myopic":
         return policy
     for _ in range(MAX_PLAN_ITERATIONS):
@@ -373,7 +374,8 @@ def plan_policy(dyn: DynamicScenario, mode: Literal["myopic", "fixed-point"] = "
         def mechanism_slot(t, rho):
             return _clear_slot(rho, dyn, previous, t)
 
-        policy = _policy(dyn, mode, _cleared_once(mechanism_slot, by_slot=not dyn.kernel.allocation_independent))
+        allocate = _cleared_once(mechanism_slot) if dyn.kernel.allocation_independent else mechanism_slot
+        policy = _policy(dyn, mode, allocate)
         if np.array_equal(policy.allocations, previous.allocations):
             return policy
     changed = int(np.count_nonzero(np.any(policy.allocations != previous.allocations, axis=(1, 2))))
@@ -432,27 +434,41 @@ def _binned_best_response(dyn, cont_row, w: float, price: float) -> float:
     return best_z
 
 
+def _price_ceiling(dyn: DynamicScenario, policy: Policy, t):
+    """Top of the price bracket of slot ``t`` (an int or an array of slots) on a binned kernel.
+
+    Above it no type demands anything: ``max w`` plus the widest gain in
+    continuation a step across the first bin edge can buy, plus one.
+    """
+    next_values = policy.value_table[t + 1]
+    cont_span = np.max(next_values, axis=-1) - np.min(next_values, axis=-1)
+    first_edge = float(dyn.kernel.bin_edges[1])
+    return float(np.max(dyn.static.utility.weights[:, 0])) + dyn.discount * cont_span / max(first_edge, 1e-9) + 1.0
+
+
+def _check_single_resource(dyn: DynamicScenario) -> None:
+    if dyn.static.type_space.num_resources != 1:
+        raise ValidationError("allocation-dependent kernels are supported for a single resource only")
+
+
 def _clear_slot(reports: np.ndarray, dyn: DynamicScenario, policy: Policy, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Clear slot ``t``'s market for the reported shares: ``(z (T, N), p (N,))``.
 
     Each type's objective is its instantaneous utility plus the frozen policy
     continuation; with an allocation-independent kernel this reduces exactly
-    to the static program, and ``policy`` is not read.
+    to the static program, and ``policy`` is not read.  This is the scalar
+    clearing of one market, for rollouts; :func:`_clear_slots` clears many
+    markets at once, bit for bit the same.
     """
     caps = dyn.static.capacities
     if dyn.kernel.allocation_independent:
         solution = solve_weighted(dyn.static, reports, caps)
         return solution.z, solution.p
-    if dyn.static.type_space.num_resources != 1:
-        raise ValidationError("allocation-dependent kernels are supported for a single resource only")
+    _check_single_resource(dyn)
     num_types = dyn.num_types
     cap = float(caps[0])
     w = [float(x) for x in dyn.static.utility.weights[:, 0]]
     cont_rows = policy.continuation[t]
-    next_values = policy.value_table[t + 1]
-    cont_span = float(np.max(next_values) - np.min(next_values))
-    first_edge = float(dyn.kernel.bin_edges[1]) if dyn.kernel.num_bins > 1 else 1.0
-    p_hi = max(w) + dyn.discount * cont_span / max(first_edge, 1e-9) + 1.0
 
     def responses(price: float) -> list[float]:
         return [_binned_best_response(dyn, cont_rows[theta], w[theta], price) for theta in range(num_types)]
@@ -461,20 +477,104 @@ def _clear_slot(reports: np.ndarray, dyn: DynamicScenario, policy: Policy, t: in
         return float(sum(reports[theta] * z for theta, z in enumerate(responses(price))))
 
     try:
-        price, _ = _clear_price(demand, cap, p_hi, BINNED_PRICE_TOLERANCE)
+        price, _ = _clear_price(demand, cap, float(_price_ceiling(dyn, policy, t)), BINNED_PRICE_TOLERANCE)
     except SolverError as exc:
         raise SolverError(f"slot {t} market {exc}") from None
     return np.array([[z_theta] for z_theta in responses(price)]), np.array([price])
 
 
-def _charge(dyn: DynamicScenario, policy: Policy, t: int, z: np.ndarray, p: np.ndarray) -> SlotOutcome:
-    """Slot ``t`` with the cleared ``(z, p)``: each type pays ``p . z`` and gets
-    its :func:`value_u_sigma` less that payment."""
-    payments = z @ p
-    payoffs = np.array(
-        [value_u_sigma(dyn, policy, theta, z[theta], t) - payments[theta] for theta in range(dyn.num_types)]
+def _clear_slots(
+    shares: np.ndarray, slots: np.ndarray, dyn: DynamicScenario, policy: Policy
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clear the market of slot ``slots[k]`` at reported ``shares[k]``, for every ``k`` at once.
+
+    Returns ``(z (K, T, N), p (K, N), steps (K,))``: each market bit for bit
+    what :func:`_clear_slot` gives, and the bisection steps it takes.  An
+    allocation-independent kernel goes to :func:`~lsvcg.solver.clear_markets`.
+    A binned market runs :func:`_binned_best_response`'s rule on array lanes
+    (bins in index order, the same ``1e-15`` margin, ``z_cap`` at price
+    zero, ``math.log1p``), sums its demand type by type in index order as
+    the scalar ``sum`` does, and keeps its own slot's price ceiling; one
+    array bisection (:func:`~lsvcg.solver._clear_prices`) clears them all.
+    A failure names the market's slot and shares.
+    """
+    caps = dyn.static.capacities
+    if dyn.kernel.allocation_independent:
+        p, z, steps = clear_markets(dyn.static, shares, caps)
+        return z, p, steps
+    _check_single_resource(dyn)
+    w = dyn.static.utility.weights[:, 0]
+    edges = dyn.kernel.bin_edges
+    z_cap = min(dyn.static.z_max, float(edges[-1]))
+    bins = []  # (k, lo, hi, log1p(lo), log1p(hi)) of every bin the range reaches
+    for k in range(dyn.kernel.num_bins):
+        lo, hi = max(0.0, float(edges[k])), min(z_cap, float(edges[k + 1]))
+        if lo <= hi:
+            bins.append((k, lo, hi, math.log1p(lo), math.log1p(hi)))
+    cont = policy.continuation[slots]  # (K, T, B)
+
+    def respond(price: np.ndarray) -> np.ndarray:
+        """Every type's best allocation (K, T) at prices ``price`` (K, 1)."""
+        positive = price > 0
+        unclamped = np.where(positive, w / np.where(positive, price, 1.0) - 1.0, z_cap)
+        # A bin's allocation is `unclamped` or one of its ends, so these are
+        # the logs the scalar rule takes.  They come from math.log1p, which
+        # np.log1p does not match in the last bit.
+        log_unclamped = np.fromiter(map(math.log1p, unclamped.ravel().tolist()), float).reshape(unclamped.shape)
+        best_value = np.full(unclamped.shape, -np.inf)
+        best_z = np.zeros(unclamped.shape)
+        for k, lo, hi, log_lo, log_hi in bins:
+            z_k = np.minimum(np.maximum(unclamped, lo), hi)
+            log_z = np.where(unclamped < lo, log_lo, np.where(unclamped > hi, log_hi, log_unclamped))
+            value = w * log_z + cont[:, :, k] - price * z_k
+            better = value > best_value + 1e-15
+            best_value = np.where(better, value, best_value)
+            best_z = np.where(better, z_k, best_z)
+        return best_z
+
+    def demand(price: np.ndarray) -> np.ndarray:
+        z = respond(price)
+        total = shares[:, 0] * z[:, 0]
+        for theta in range(1, z.shape[1]):
+            total = total + shares[:, theta] * z[:, theta]
+        return total[:, None]
+
+    p, steps = _clear_prices(
+        demand,
+        demand(np.zeros((len(shares), 1))),
+        caps,
+        _price_ceiling(dyn, policy, slots)[:, None],
+        BINNED_PRICE_TOLERANCE,
+        lambda k: f"slot {slots[k]} market {shares[k].tolist()}",
     )
-    return SlotOutcome(t=t, z=z, p=p, payments=payments, payoffs=payoffs)
+    return respond(p)[:, :, None], p, steps[:, 0]
+
+
+def _values(dyn: DynamicScenario, policy: Policy, slots, types, z: np.ndarray) -> np.ndarray:
+    """:func:`value_u_sigma` of type ``types`` holding ``z`` (..., N) at slot ``slots``, from arrays.
+
+    ``slots``, ``types`` and the rows of ``z`` broadcast together.  Each
+    utility is one stacked dot over contiguous rows, which sums as
+    ``np.dot`` does.
+    """
+    shape = np.broadcast_shapes(np.shape(slots), np.shape(types), z.shape[:-1])
+    slots, types = np.broadcast_to(slots, shape), np.broadcast_to(types, shape)
+    log_z = np.ascontiguousarray(np.broadcast_to(np.log1p(z), shape + z.shape[-1:]))
+    w = dyn.static.utility.weights[types]
+    utility = (w[..., None, :] @ log_z[..., :, None])[..., 0, 0]
+    return utility + policy.continuation[slots, types, dyn.kernel.bin_of(z)]
+
+
+def _payments(z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Each type's payment ``p . z`` (K, T) in markets cleared at ``z`` (K, T, N), ``p`` (K, N)."""
+    return (z @ p[:, :, None])[:, :, 0]
+
+
+def _charge(dyn: DynamicScenario, policy: Policy, slots: np.ndarray, z: np.ndarray, p: np.ndarray):
+    """Payments and payoffs (K, T each) of slots ``slots`` cleared at ``(z, p)``: each
+    type pays ``p . z`` for its own row and gets its :func:`value_u_sigma` less that payment."""
+    payments = _payments(z, p)
+    return payments, _values(dyn, policy, slots[:, None], np.arange(dyn.num_types), z) - payments
 
 
 def dynamic_mechanism_step(reports: np.ndarray, dyn: DynamicScenario, policy: Policy, t: int) -> SlotOutcome:
@@ -490,7 +590,8 @@ def dynamic_mechanism_step(reports: np.ndarray, dyn: DynamicScenario, policy: Po
         raise ValidationError("reports must be a distribution over the utility types")
     _check_slot(policy, t)
     z, p = _clear_slot(np.maximum(reports, 0.0), dyn, policy, t)
-    return _charge(dyn, policy, t, z, p)
+    payments, payoffs = _charge(dyn, policy, np.array([t]), z[None], p[None])
+    return SlotOutcome(t=t, z=z, p=p, payments=payments[0], payoffs=payoffs[0])
 
 
 def dynamic_incentive_gap(
@@ -510,61 +611,84 @@ def dynamic_incentive_gap(
     The truthful slot is the plan's own slot when the plan is what the
     mechanism allocates (an allocation-independent kernel, or a
     ``fixed-point`` plan), and is cleared otherwise.  Every truthful and
-    frozen-price payoff reads it, and the row carries it as ``slot``.  Each
-    distinct market is cleared once per call: the flow soon repeats its
-    shares bit for bit, and with them the misreported markets.  Each result
-    equals :func:`dynamic_mechanism_step` on the same market.
+    frozen-price payoff reads it, and the row carries it as ``slot``.  Every
+    market the call needs is known up front, since the policy is frozen: the
+    distinct ones (a market is its shares, and also its slot on a binned
+    kernel) are cleared together by :func:`_clear_slots`, and every payoff is
+    priced from the resulting arrays.  Each result equals
+    :func:`dynamic_mechanism_step` on the same market.
     """
-    num_types = dyn.num_types
+    num_types, horizon = dyn.num_types, dyn.horizon
     binned = not dyn.kernel.allocation_independent
     plan_is_mechanism = not binned or policy.mode == "fixed-point"
-    clear = _cleared_once(lambda t, shares: _clear_slot(shares, dyn, policy, t), by_slot=binned)
+    rho = policy.rho_path[:horizon]
+    slots = np.arange(horizon)
+    if num_agents is not None:
+        short = np.flatnonzero(np.any(rho <= 0, axis=1))
+        if short.size:
+            raise ValidationError(f"bound undefined: a type share hits zero at slot {short[0]}")
+        # a type with no whole agent at a slot has no one to deviate
+        present = ~(rho * num_agents < 1.0 - 1e-9)
+    else:
+        present = np.ones(rho.shape, dtype=bool)
+
+    # Every market to clear, in groups (theta, report, slots, shares): the
+    # truthful slots (theta None) unless the plan's are the mechanism's, and
+    # each misreport at the slots where it is priced.
+    groups = []
+    if not plan_is_mechanism:
+        groups.append((None, None, slots, np.maximum(rho, 0.0)))
+    for theta, report in permutations(range(num_types), 2) if num_agents is not None else ():
+        shares = rho.copy()
+        shares[:, theta] -= 1.0 / num_agents
+        shares[:, report] += 1.0 / num_agents
+        # a negative share means fewer than one agent of this type at the slot
+        priced = np.flatnonzero(present[:, theta] & ~(shares[:, theta] < -1e-12))
+        groups.append((theta, report, priced, np.maximum(shares[priced], 0.0)))
+    group_markets = []  # each group's rows in the cleared batch
+    if groups:
+        market_slots = np.concatenate([group[2] for group in groups])
+        market_shares = np.concatenate([group[3] for group in groups])
+        keys = np.column_stack([market_slots, market_shares]) if binned else market_shares
+        _, first, market_of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        z, p, _ = _clear_slots(market_shares[first], market_slots[first], dyn, policy)
+        payments = _payments(z, p)
+        group_markets = np.split(market_of.reshape(-1), np.cumsum([group[2].size for group in groups])[:-1])
+
+    if plan_is_mechanism:
+        truthful_z, truthful_p = policy.allocations, policy.prices
+    else:
+        truthful_z, truthful_p = z[group_markets[0]], p[group_markets[0]]
+    truthful_payments, truthful = _charge(dyn, policy, slots, truthful_z, truthful_p)
+
+    # payoff[t, theta, report]: a theta agent's payoff from announcing report at slot t
+    if num_agents is None:
+        # a lone report leaves the slot shares, and so the truthful slot, untouched
+        types = np.arange(num_types)[:, None]
+        payoff = _values(dyn, policy, slots[:, None, None], types, truthful_z[:, None]) - truthful_payments[:, None, :]
+    else:
+        payoff = np.full((horizon, num_types, num_types), -np.inf)
+        for (theta, report, priced, _), markets in zip(groups, group_markets):
+            if theta is not None:
+                value = _values(dyn, policy, priced, theta, z[markets, report])
+                payoff[priced, theta, report] = value - payments[markets, report]
+    best = np.zeros(rho.shape)
+    for theta, report in permutations(range(num_types), 2):
+        gain = payoff[:, theta, report] - truthful[:, theta]
+        best[:, theta] = np.where(gain > best[:, theta], gain, best[:, theta])
+
     rows: list[DynamicIncentiveRow] = []
-    for t in range(dyn.horizon):
-        rho_t = policy.rho_path[t]
-        if num_agents is not None and np.any(rho_t <= 0):
-            raise ValidationError(f"bound undefined: a type share hits zero at slot {t}")
-        if plan_is_mechanism:
-            truthful_slot = _charge(dyn, policy, t, policy.allocations[t], policy.prices[t])
-        else:
-            truthful_slot = _charge(dyn, policy, t, *clear(t, np.maximum(rho_t, 0.0)))
-
-        def payoff(theta: int, report: int) -> float:
-            if num_agents is None or report == theta:
-                # a lone or truthful report leaves the slot shares untouched
-                z, payments = truthful_slot.z, truthful_slot.payments
-            else:
-                shares = rho_t.copy()
-                shares[theta] -= 1.0 / num_agents
-                shares[report] += 1.0 / num_agents
-                if shares[theta] < -1e-12:
-                    return -math.inf  # fewer than one agent of this type at this slot
-                z, p = clear(t, np.maximum(shares, 0.0))
-                payments = z @ p
-            return value_u_sigma(dyn, policy, theta, z[report], t) - float(payments[report])
-
-        per_type: dict[int, float] = {}
-        for theta in range(num_types):
-            if num_agents is not None and rho_t[theta] * num_agents < 1.0 - 1e-9:
-                continue  # no whole agent of this type to deviate
-            truthful = payoff(theta, theta)
-            best = 0.0
-            for alt in range(num_types):
-                if alt != theta:
-                    best = max(best, payoff(theta, alt) - truthful)
-            per_type[theta] = best
-
-        bound = 0.0 if num_agents is None else misreport_gain_bound(dyn.static, rho_t, num_agents)
+    for t in range(horizon):
+        per_type = {theta: float(best[t, theta]) for theta in range(num_types) if present[t, theta]}
         max_gap = max(per_type.values()) if per_type else 0.0
+        if num_agents is None:
+            bound, holds = 0.0, max_gap <= 1e-9
+        else:
+            bound = misreport_gain_bound(dyn.static, rho[t], num_agents)
+            holds = gain_within_bound(max_gap, bound)
+        slot = SlotOutcome(t=t, z=truthful_z[t], p=truthful_p[t], payments=truthful_payments[t], payoffs=truthful[t])
         rows.append(
-            DynamicIncentiveRow(
-                t=t,
-                per_type_gap=per_type,
-                max_gap=max_gap,
-                bound=bound,
-                holds=gain_within_bound(max_gap, bound) if num_agents is not None else max_gap <= 1e-9,
-                slot=truthful_slot,
-            )
+            DynamicIncentiveRow(t=t, per_type_gap=per_type, max_gap=max_gap, bound=bound, holds=holds, slot=slot)
         )
     return rows
 

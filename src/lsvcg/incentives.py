@@ -134,20 +134,21 @@ def incentive_gap(
                 raise ValidationError("opponent_counts must be nonnegative, one per flattened type")
             if int(opponent_counts.sum()) != num_agents - 1:
                 raise ValidationError("opponent_counts must sum to num_agents - 1")
-        # against truthful opponents a truthful report leaves the truthful market, row 0
-        reported_counts = [counts] if opponent_counts is None else []
-        for truth_idx in range(num_types):
-            for report_idx in range(num_types):
-                if opponent_counts is None:
-                    if report_idx == truth_idx:
-                        continue
-                    dev = counts.copy()
-                    dev[truth_idx] -= 1
-                else:
-                    dev = opponent_counts.copy()
-                dev[report_idx] += 1
-                market_of[truth_idx, report_idx] = len(reported_counts)
-                reported_counts.append(dev)
+        if opponent_counts is None:
+            # a truthful report leaves the truthful market, row 0
+            reported_counts = [counts]
+            for truth_idx in range(num_types):
+                for report_idx in range(num_types):
+                    if report_idx != truth_idx:
+                        dev = counts.copy()
+                        dev[truth_idx] -= 1
+                        dev[report_idx] += 1
+                        market_of[truth_idx, report_idx] = len(reported_counts)
+                        reported_counts.append(dev)
+        else:
+            # the deviator joins fixed opponents, so its market depends on its report alone
+            reported_counts = list(opponent_counts + np.eye(num_types, dtype=int))
+            market_of[:] = np.arange(num_types)
         reported = [dev / num_agents for dev in reported_counts]
         bound = misreport_gain_bound(scenario, base_rho, num_agents)
     weights = np.array(reported)

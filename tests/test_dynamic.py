@@ -1,7 +1,12 @@
+import math
+from dataclasses import replace
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import lsvcg.dynamic
 import lsvcg.solver
@@ -19,10 +24,10 @@ from lsvcg.dynamic import (
     save_dynamic_scenario,
     value_u_sigma,
 )
-from lsvcg.generate import dynamic_benchmark, random_dynamic_scenario, rng_for
+from lsvcg.generate import dynamic_benchmark, random_dynamic_scenario, random_scenario, rng_for
 from lsvcg.incentives import gain_within_bound, misreport_gain_bound
 from lsvcg.mechanisms import large_scale_vcg
-from lsvcg.model import ValidationError, utility_value
+from lsvcg.model import InfluenceParams, UtilityParams, ValidationError, utility_value
 from lsvcg.solver import SolverError
 
 
@@ -177,7 +182,6 @@ def test_slot_reduces_to_static_mechanism_for_independent_kernel():
     slot = dynamic_mechanism_step(dyn.rho0, dyn, policy, 0)
     ts = dyn.static.type_space
     probes = [ts.unflatten(r) for r in range(ts.num_types)]
-    from dataclasses import replace
     from lsvcg.model import Population, Profile
 
     static = replace(dyn.static, population=Population(shares=dyn.rho0, num_agents=None))
@@ -248,6 +252,145 @@ def test_binned_slot_failure_reports_its_bracket(monkeypatch):
     assert "bracket" in str(exc.value) and "3 bisection steps" in str(exc.value)
 
 
+def test_a_failing_batch_market_names_its_slot(monkeypatch):
+    # 23 steps clear every market of slot 0, which the batch lists first, but
+    # not every market of slot 1
+    dyn = dynamic_benchmark(kernel="allocation", discount=0.5, num_bins=4)
+    policy = plan_policy(dyn, "myopic")
+    monkeypatch.setattr(lsvcg.solver, "MAX_BISECTION_STEPS", 23)
+    rho_0 = policy.rho_path[0]
+    for shares in [rho_0, *_misreported_shares(rho_0, 10)]:
+        dynamic_mechanism_step(shares, dyn, policy, 0)
+    with pytest.raises(SolverError, match=r"^slot 1 market \[") as batch:
+        dynamic_incentive_gap(dyn, policy, 10)
+    failing = [s for s in _misreported_shares(policy.rho_path[1], 10) if f"market {s.tolist()}," in str(batch.value)]
+    assert len(failing) == 1
+    with pytest.raises(SolverError, match="^slot 1 market failed to clear") as scalar:
+        dynamic_mechanism_step(failing[0], dyn, policy, 1)
+    # the lane's residual, bracket and step count are the scalar bisection's
+    tail = str(scalar.value).split("failed to clear")[1]
+    assert str(batch.value).endswith(tail) and "after 23 bisection steps" in tail
+
+
+def _two_bin_slots(w0: float, cont: list[float]):
+    """The ``switching`` kernel (bins split at 0.8) with type 0's weight ``w0``,
+    under a made-up policy: zero values, and a continuation that is zero but
+    for type 0's second bin, ``cont[t]`` at slot ``t``."""
+    base = dynamic_benchmark(kernel="switching", discount=0.5)
+    static = replace(base.static, utility=UtilityParams(weights=[[w0], [1.5]]))
+    dyn = DynamicScenario(static=static, kernel=base.kernel, discount=0.5, horizon=base.horizon, rho0=base.rho0)
+    horizon = dyn.horizon
+    continuation = np.zeros((horizon, 2, 2))
+    continuation[: len(cont), 0, 1] = cont
+    policy = Policy(
+        mode="myopic",
+        allocations=np.zeros((horizon, 2, 1)),
+        prices=np.zeros((horizon, 1)),
+        rho_path=np.tile(dyn.rho0, (horizon + 1, 1)),
+        value_table=np.zeros((horizon + 1, 2)),
+        continuation=continuation,
+        welfare=0.0,
+    )
+    return dyn, policy
+
+
+def test_clear_slots_keeps_the_scalar_rule_at_near_ties():
+    # Type 0 reports a zero share, so its continuation cannot move the price.
+    # At that price its first bin holds 0.8 and its second the static
+    # response; the continuation of the second is set so that the two values
+    # differ by less than the 1e-15 margin (slot 0), or by less than the last
+    # bit of a log1p that np.log1p and math.log1p disagree on (slot 1, where
+    # such a disagreement is found).  The bin taken there is the allocation.
+    shares = np.array([0.0, 1.0])
+    price = float(lsvcg.dynamic._clear_slot(shares, *_two_bin_slots(1.45, []), 0)[1][0])
+
+    def second_bin_wins(w0, cont, log1p, margin):
+        unclamped = w0 / price - 1.0
+        first = w0 * log1p(0.8) + 0.0 - price * 0.8
+        return w0 * log1p(unclamped) + cont - price * unclamped > first + margin
+
+    def tie(w0, log1p, margin):
+        """A continuation near the tie at which the scalar rule and the rule with
+        ``log1p`` and ``margin`` pick different bins, or None."""
+        unclamped = w0 / price - 1.0
+        at_tie = w0 * math.log1p(0.8) - price * 0.8 - (w0 * math.log1p(unclamped) - price * unclamped)
+        for cont in (at_tie + np.linspace(-3e-15, 3e-15, 601)).tolist():
+            if second_bin_wins(w0, cont, math.log1p, 1e-15) != second_bin_wins(w0, cont, log1p, margin):
+                return cont
+        return None
+
+    # type 0's weight stays below type 1's, so the price ceiling does not move
+    w0, log_tie = 1.45, None
+    for w in np.arange(1.40, 1.50, 1e-4).tolist():
+        log_tie = tie(w, np.log1p, 1e-15)
+        if log_tie is not None:
+            w0 = w
+            break
+    conts = [tie(w0, math.log1p, 0.0)] + ([] if log_tie is None else [log_tie])
+    assert conts[0] is not None
+    dyn, policy = _two_bin_slots(w0, conts)
+    slots = np.arange(len(conts))
+    z, p, _ = lsvcg.dynamic._clear_slots(np.tile(shares, (len(conts), 1)), slots, dyn, policy)
+    for t in slots:
+        z_scalar, p_scalar = lsvcg.dynamic._clear_slot(shares, dyn, policy, int(t))
+        assert p[t].tobytes() == p_scalar.tobytes() == np.array([price]).tobytes()
+        assert z[t].tobytes() == z_scalar.tobytes()
+
+
+@pytest.fixture(scope="module")
+def binned_policies():
+    policies = {}
+    for kernel in ("allocation", "switching"):
+        for discount in (0.5, 0.9):
+            dyn = dynamic_benchmark(kernel=kernel, discount=discount, num_bins=4)
+            for mode in ("myopic", "fixed-point"):
+                policies[kernel, discount, mode] = dyn, plan_policy(dyn, mode)
+    return policies
+
+
+_SHARES = st.one_of(st.sampled_from([0.0, 1e-15, 0.5, 1.0 - 1e-15, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(
+    preset=st.sampled_from(
+        [(k, d, m) for k in ("allocation", "switching") for d in (0.5, 0.9) for m in ("myopic", "fixed-point")]
+    ),
+    markets=st.lists(st.tuples(st.integers(0, 10**6), _SHARES), min_size=1, max_size=10),
+)
+@settings(max_examples=80, deadline=None)
+def test_clear_slots_matches_the_scalar_slot_bit_for_bit(binned_policies, preset, markets):
+    dyn, policy = binned_policies[preset]
+    slots = np.array([t % dyn.horizon for t, _ in markets])
+    shares = np.array([[share, 1.0 - share] for _, share in markets])
+    scalar_steps = []
+
+    def recorded(demand, capacity, hi, tolerance):
+        price, steps = lsvcg.solver._clear_price(demand, capacity, hi, tolerance)
+        scalar_steps.append(steps)
+        return price, steps
+
+    cleared, failed = [], []
+    with mock.patch.object(lsvcg.dynamic, "_clear_price", recorded):
+        for k, t in enumerate(slots):
+            try:
+                cleared.append((k, *lsvcg.dynamic._clear_slot(shares[k], dyn, policy, int(t)), scalar_steps[-1]))
+            except SolverError as exc:
+                failed.append((k, str(exc)))
+    event("a market fails to clear" if failed else "every market clears")
+    if cleared:
+        keep = [k for k, *_ in cleared]
+        z, p, steps = lsvcg.dynamic._clear_slots(shares[keep], slots[keep], dyn, policy)
+        assert z.shape == (len(keep), dyn.num_types, 1) and p.shape == (len(keep), 1)
+        for i, (_, z_scalar, p_scalar, steps_scalar) in enumerate(cleared):
+            assert z[i].tobytes() == z_scalar.tobytes()
+            assert p[i].tobytes() == p_scalar.tobytes()
+            assert steps[i] == steps_scalar
+    for k, message in failed:
+        with pytest.raises(SolverError) as exc:
+            lsvcg.dynamic._clear_slots(shares[k : k + 1], slots[k : k + 1], dyn, policy)
+        assert str(exc.value).split("failed to clear")[1] == message.split("failed to clear")[1]
+
+
 @pytest.mark.parametrize("kernel", ["mixing", "allocation"])
 @pytest.mark.parametrize("num_agents", [None, 10])
 def test_incentive_rows_carry_the_truthful_slot(kernel, num_agents):
@@ -263,21 +406,22 @@ def test_incentive_rows_carry_the_truthful_slot(kernel, num_agents):
 @pytest.mark.parametrize("num_agents", [None, 10])
 def test_truthful_slot_is_priced_once(num_agents, monkeypatch):
     # a binned market reads the policy at its slot, so no two slots share one:
-    # one truthful clearing per slot, plus one per (type, misreport) when finite
+    # one truthful clearing per slot, plus one per (type, misreport) when finite,
+    # all in one batch
     dyn = dynamic_benchmark(kernel="allocation", discount=0.5, num_bins=4)
     policy = plan_policy(dyn, "myopic")
-    clear = lsvcg.dynamic._clear_slot
-    slots = []
+    clear = lsvcg.dynamic._clear_slots
+    batches = []
 
-    def counted(reports, dyn, policy, t):
-        slots.append(t)
-        return clear(reports, dyn, policy, t)
+    def counted(shares, slots, dyn, policy):
+        batches.append(sorted(slots.tolist()))
+        return clear(shares, slots, dyn, policy)
 
-    monkeypatch.setattr(lsvcg.dynamic, "_clear_slot", counted)
+    monkeypatch.setattr(lsvcg.dynamic, "_clear_slots", counted)
     dynamic_incentive_gap(dyn, policy, num_agents)
     num_types = dyn.num_types
     per_slot = 1 if num_agents is None else 1 + num_types * (num_types - 1)
-    assert slots == [t for t in range(dyn.horizon) for _ in range(per_slot)]
+    assert batches == [[t for t in range(dyn.horizon) for _ in range(per_slot)]]
 
 
 def _misreported_shares(rho_t: np.ndarray, num_agents: int):
@@ -307,9 +451,16 @@ def test_each_distinct_mixing_market_is_solved_once(num_agents, monkeypatch):
     assert len(states) < dyn.horizon  # the flow reaches a bit-for-bit stationary state
     assert sorted(inputs) == sorted(states)
 
+    clear_markets = lsvcg.dynamic.clear_markets
+
+    def counted_batch(scenario, weights, capacities):
+        inputs.extend(row.tobytes() for row in np.asarray(weights, dtype=float))
+        return clear_markets(scenario, weights, capacities)
+
+    monkeypatch.setattr(lsvcg.dynamic, "clear_markets", counted_batch)
     inputs.clear()
     dynamic_incentive_gap(dyn, policy, num_agents)
-    # the truthful slots are the plan's; each distinct misreported market is solved once
+    # the truthful slots are the plan's; each distinct misreported market is cleared once
     expected = set()
     if num_agents is not None:
         for rho_t in policy.rho_path[:-1]:
@@ -339,23 +490,30 @@ def _reference_plan(dyn: DynamicScenario, mode: str) -> Policy:
 
 
 def _reference_gap(dyn: DynamicScenario, policy: Policy, num_agents: int | None):
-    """``dynamic_incentive_gap`` with ``dynamic_mechanism_step`` on every truthful
-    and misreported market: ``(per_type_gap, max_gap, holds, slot)`` per slot."""
+    """``dynamic_incentive_gap`` with the scalar clearing on every truthful and
+    misreported market, payments ``z @ p`` and :func:`value_u_sigma` payoffs:
+    ``(per_type_gap, max_gap, holds, (z, p, payments, payoffs))`` per slot."""
     rows = []
     for t in range(dyn.horizon):
         rho_t = policy.rho_path[t]
-        truthful_slot = dynamic_mechanism_step(rho_t, dyn, policy, t)
+        z, p = lsvcg.dynamic._clear_slot(rho_t, dyn, policy, t)
+        payments = z @ p
+        payoffs = np.array(
+            [value_u_sigma(dyn, policy, theta, z[theta], t) - payments[theta] for theta in range(dyn.num_types)]
+        )
+        truthful_slot = z, p, payments, payoffs
 
         def payoff(theta, report):
-            slot = truthful_slot
+            z, _, payments, _ = truthful_slot
             if num_agents is not None and report != theta:
                 shares = rho_t.copy()
                 shares[theta] -= 1.0 / num_agents
                 shares[report] += 1.0 / num_agents
                 if shares[theta] < -1e-12:
                     return -np.inf
-                slot = dynamic_mechanism_step(np.maximum(shares, 0.0), dyn, policy, t)
-            return value_u_sigma(dyn, policy, theta, slot.z[report], t) - float(slot.payments[report])
+                z, p = lsvcg.dynamic._clear_slot(np.maximum(shares, 0.0), dyn, policy, t)
+                payments = z @ p
+            return value_u_sigma(dyn, policy, theta, z[report], t) - float(payments[report])
 
         per_type = {}
         for theta in range(dyn.num_types):
@@ -385,11 +543,15 @@ def _assert_same_plan_and_gaps(dyn: DynamicScenario, mode: str):
     for num_agents in (None, 10):
         rows = dynamic_incentive_gap(dyn, policy, num_agents)
         assert len(rows) == dyn.horizon
-        for row, (per_type, max_gap, holds, slot) in zip(rows, _reference_gap(dyn, reference, num_agents)):
+        reference_rows = _reference_gap(dyn, reference, num_agents)
+        for t, (row, (per_type, max_gap, holds, slot)) in enumerate(zip(rows, reference_rows)):
             assert row.per_type_gap == per_type and row.max_gap == max_gap and row.holds == holds
-            assert row.slot.t == slot.t
-            for name in ("z", "p", "payments", "payoffs"):
-                assert np.array_equal(getattr(row.slot, name), getattr(slot, name)), name
+            assert row.slot.t == t
+            for name, expected in zip(("z", "p", "payments", "payoffs"), slot):
+                assert getattr(row.slot, name).tobytes() == expected.tobytes(), name
+            step = dynamic_mechanism_step(policy.rho_path[t], dyn, policy, t)
+            for name, expected in zip(("payments", "payoffs"), slot[2:]):
+                assert getattr(step, name).tobytes() == expected.tobytes(), name
 
 
 @pytest.mark.parametrize("mode", ["myopic", "fixed-point"])
@@ -400,9 +562,22 @@ def test_memoized_plan_and_gaps_equal_the_unmemoized_reference(kernel, discount,
 
 
 @pytest.mark.parametrize("mode", ["myopic", "fixed-point"])
-@pytest.mark.parametrize(("seed", "num_theta"), [(0, 2), (1, 2), (2, 3)])
+@pytest.mark.parametrize(("seed", "num_theta"), [(0, 2), (1, 2), (2, 3), (3, 1)])
 def test_memoized_gaps_equal_the_reference_on_random_flows(seed, num_theta, mode):
     _assert_same_plan_and_gaps(random_dynamic_scenario(rng_for(seed, 0), num_theta=num_theta), mode)
+
+
+@pytest.mark.parametrize("mode", ["myopic", "fixed-point"])
+def test_array_payoffs_equal_value_u_sigma_on_several_resources(mode):
+    # with more than one resource each utility is a dot product, whose
+    # summation order the array payoffs must keep
+    rng = rng_for(3, 0)
+    base = random_scenario(rng, num_theta=3, num_zeta=1, num_resources=3, num_agents=None)
+    static = replace(base, influence=InfluenceParams(linear=np.ones((1, 3)), quadratic=np.zeros((1, 3))))
+    q = rng.dirichlet(np.full(3, 2.0), size=3).T
+    kernel = TransitionKernel(probabilities=q[:, :, None], bin_edges=[0.0, static.z_max])
+    dyn = DynamicScenario(static=static, kernel=kernel, discount=0.5, horizon=20, rho0=rng.dirichlet(np.full(3, 3.0)))
+    _assert_same_plan_and_gaps(dyn, mode)
 
 
 @pytest.mark.parametrize("t", [-1, "horizon"])

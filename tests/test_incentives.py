@@ -175,8 +175,8 @@ def test_opponents_need_a_finite_population(bench_incentive):
 
 def test_truthful_market_is_solved_once(bench_incentive, monkeypatch):
     # against truthful opponents only the R(R-1) misreports move the market;
-    # fixed opponents make every (truth, report) pair a market of its own.
-    # All of a call's markets are cleared in one batch.
+    # against fixed opponents the market depends on the report alone, so
+    # there is one per report.  All of a call's markets are cleared in one batch.
     import lsvcg.incentives
 
     clear_markets = lsvcg.incentives.clear_markets
@@ -194,7 +194,7 @@ def test_truthful_market_is_solved_once(bench_incentive, monkeypatch):
     for num_agents, opponent_counts, expected in [
         (None, None, 1),
         (10, None, 1 + num_types * (num_types - 1)),
-        (10, opponents, num_types**2),
+        (10, opponents, num_types),
     ]:
         batches.clear()
         incentive_gap(bench_incentive, rho, num_agents, opponent_counts=opponent_counts)
