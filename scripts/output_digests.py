@@ -2,15 +2,16 @@
 """Print a digest of every file the CLI writes, to compare two checkouts.
 
 Runs every subcommand on every scenario document given (default:
-``scenarios/*.json``), ``dynamic`` in both planning modes (``myopic`` and
-``fixed-point``), and ``dynamic`` on the ``mixing``, ``allocation`` and
-``switching`` presets at discounts 0.5 and 0.9.  Each run writes to a fresh
-temporary directory.  Prints one ``sha256  run/file`` line per output file
-and one ``exit N  run`` line per run, where ``run`` is
-``subcommand/scenario``.  Lines that name the scenario's path (its header
-line and its ``meta.json`` field) are left out of the hash, so two
-checkouts give equal printouts exactly when their outputs are
-byte-identical:
+``scenarios/*.json`` plus two generated documents, a wide one with 16 types
+and 8 resources over an infinite population and a head-count one with 60
+agents), ``dynamic`` in both planning modes (``myopic`` and ``fixed-point``),
+and ``dynamic`` on the ``mixing``, ``allocation`` and ``switching`` presets at
+discounts 0.5 and 0.9.  Each run writes to a fresh temporary directory.
+Prints one ``sha256  run/file`` line per output file and one ``exit N  run``
+line per run, where ``run`` is ``subcommand/scenario``.  Lines that name the
+scenario's path (its header line and its ``meta.json`` field) are left out
+of the hash, so two checkouts give equal printouts exactly when their
+outputs are byte-identical:
 
     PYTHONPATH=src python scripts/output_digests.py > new.txt
     PYTHONPATH=/path/to/other/checkout/src python scripts/output_digests.py > old.txt
@@ -31,7 +32,8 @@ from pathlib import Path
 
 from lsvcg.cli import main
 from lsvcg.dynamic import save_dynamic_scenario
-from lsvcg.generate import dynamic_benchmark
+from lsvcg.generate import dynamic_benchmark, random_scenario, rng_for, scale_capacity
+from lsvcg.model import save_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 STATIC_SUBCOMMANDS = ("solve", "vcg", "lsvcg", "incentive-sweep", "sensitivity", "superimpose")
@@ -56,6 +58,17 @@ def run(label: str, scenario: Path, argv: list[str], scratch: Path) -> list[str]
     return lines
 
 
+def generated_documents(scratch: Path) -> list[Path]:
+    """A wide static document and a head-count one (capacities are totals over its agents)."""
+    wide = random_scenario(rng_for(0, 1), num_theta=8, num_zeta=2, num_resources=8, num_agents=None, quadratic=True)
+    finite = random_scenario(rng_for(0, 2), num_theta=3, num_zeta=2, num_resources=2, num_agents=60, quadratic=True)
+    documents = []
+    for name, scenario in (("wide", wide), ("head-count", scale_capacity(finite, 60))):
+        documents.append(scratch / f"generated-{name}.json")
+        documents[-1].write_bytes(save_scenario(scenario))
+    return documents
+
+
 def runs(documents: list[Path], scratch: Path):
     """(label, document, argv) of every run."""
     for doc in documents:
@@ -72,10 +85,12 @@ def runs(documents: list[Path], scratch: Path):
 
 def main_digests(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("documents", nargs="*", type=Path, help="scenario documents (default: scenarios/*.json)")
+    parser.add_argument(
+        "documents", nargs="*", type=Path, help="scenario documents (default: scenarios/*.json and two generated ones)"
+    )
     args = parser.parse_args(argv)
-    documents = args.documents or sorted((ROOT / "scenarios").glob("*.json"))
     with tempfile.TemporaryDirectory() as tmp:
+        documents = args.documents or [*sorted((ROOT / "scenarios").glob("*.json")), *generated_documents(Path(tmp))]
         for label, doc, sub_argv in runs(documents, Path(tmp)):
             print("\n".join(run(label, doc, sub_argv, Path(tmp))), flush=True)
     return 0

@@ -59,23 +59,36 @@ def _format(value) -> str:
     return str(value)
 
 
-def _write_table(path: Path, rows: list[dict], manifest: RunManifest) -> None:
-    header = list(rows[0].keys()) if rows else []
-    _write_lines(path, header, [",".join(_format(row[k]) for k in header) for row in rows], manifest)
+def _floats(values) -> str:
+    """``_format``'s text of each float in ``values``, comma-joined."""
+    return ",".join(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _line(*values) -> str:
+    """One table line of ``_format``'s text of ``values``."""
+    return ",".join(map(_format, values)) + "\n"
+
+
+def _float_rows(labels, block, tail: str = "") -> list[str]:
+    """One line per row of the float ``block``: its label, the row, then ``tail``."""
+    return [f"{label},{_floats(row)}{tail}\n" for label, row in zip(labels, block)]
 
 
 def _write_outcome(path: Path, outcome: Outcome, manifest: RunManifest) -> None:
-    """One row per agent, agents numbered cell by cell; each cell's columns are
-    formatted once and shared by its agents."""
+    """One row per agent, agents numbered cell by cell; each cell's agents are
+    written as one block that shares the cell's formatted columns."""
     cell_rows = outcome_cell_rows(outcome)
-    cell_text = [",".join(_format(value) for value in row.values()) for row in cell_rows]
-    header = ["id", *cell_rows[0]] if cell_rows else []
-    agent_cells = np.repeat(np.arange(len(cell_rows)), outcome.profile.cells.counts)
-    body = [f"{i},{cell_text[c]}" for i, c in enumerate(agent_cells.tolist())]
-    _write_lines(path, header, body, manifest)
+    body, start = [], 0
+    for row, count in zip(cell_rows, outcome.profile.cells.counts.tolist()):
+        sep = f",{_line(*row.values())}"
+        body += [sep.join(map(str, range(start, start + count))), sep]
+        start += count
+    _write_lines(path, ["id", *cell_rows[0]] if cell_rows else [], body, manifest)
 
 
 def _write_lines(path: Path, header: list[str], body: list[str], manifest: RunManifest) -> None:
+    """The metadata block, then, unless ``body`` is empty, the ``header`` row and
+    ``body``'s newline-terminated chunks, streamed to ``path``."""
     lines = [
         f"# subcommand: {manifest.subcommand}",
         f"# scenario: {manifest.scenario_path}",
@@ -84,10 +97,12 @@ def _write_lines(path: Path, header: list[str], body: list[str], manifest: RunMa
     ]
     for key in sorted(manifest.overrides):
         lines.append(f"# override {key}: {_format(manifest.overrides[key])}")
-    if header:
+    if body:
         lines.append(",".join(header))
-        lines.extend(body)
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    with path.open("wb") as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
+        for chunk in body:
+            f.write(chunk.encode("utf-8"))
 
 
 def _write_meta(out: Path, manifest: RunManifest, extra: dict | None = None) -> None:
@@ -129,25 +144,16 @@ def _finite_profile(scenario) -> Profile:
     return Profile.truthful(scenario.population, scenario.type_space)
 
 
-def _type_rows_solution(scenario, solution):
-    rows = []
-    ts = scenario.type_space
-    for r in range(ts.num_types):
-        theta, zeta = ts.unflatten(r)
-        row = {"theta": theta, "zeta": zeta, "share": float(solution.weights[r])}
-        for n in range(ts.num_resources):
-            row[f"z_{n}"] = float(solution.z[r, n])
-        for n in range(ts.num_resources):
-            row[f"p_{n}"] = float(solution.p[n])
-        row["kkt_residual"] = float(solution.kkt_residual)
-        rows.append(row)
-    return rows
-
-
 def cmd_solve(args, manifest: RunManifest, out: Path) -> None:
     scenario = _load_static(args)
     solution = solve_weighted(scenario, scenario.population.shares, scenario.per_capita_capacities())
-    _write_table(out / "solution.csv", _type_rows_solution(scenario, solution), manifest)
+    ts = scenario.type_space
+    resources = range(ts.num_resources)
+    header = ["theta", "zeta", "share", *(f"z_{n}" for n in resources), *(f"p_{n}" for n in resources), "kkt_residual"]
+    labels = ("{},{}".format(*ts.unflatten(r)) for r in range(ts.num_types))
+    block = np.column_stack([solution.weights, solution.z])
+    tail = f",{_floats(np.append(solution.p, solution.kkt_residual))}"  # the same on every row
+    _write_lines(out / "solution.csv", header, _float_rows(labels, block, tail), manifest)
     _write_meta(out, manifest, {"iterations": solution.iterations, "kkt_residual": solution.kkt_residual})
 
 
@@ -164,18 +170,16 @@ def cmd_lsvcg(args, manifest: RunManifest, out: Path) -> None:
     if scenario.population.is_finite:
         outcome = large_scale_vcg(_finite_profile(scenario), scenario)
         total, predicted = budget_audit(outcome, scenario)
-        budget = [{"total_payments": total, "predicted": predicted, "beta": outcome.beta}]
     else:
         probes = np.eye(scenario.type_space.num_types, dtype=int)  # one truthful probe per type
         outcome = large_scale_vcg(
             Profile(scenario.type_space, probes), scenario, report_distribution=scenario.population
         )
-        per_capita = float(scenario.population.shares @ outcome.cell_payments)
-        budget = [{"total_payments": per_capita, "predicted": float(
-            outcome.prices @ ((1.0 - outcome.beta) * scenario.capacities)
-        ), "beta": outcome.beta}]
+        total = float(scenario.population.shares @ outcome.cell_payments)
+        predicted = float(outcome.prices @ ((1.0 - outcome.beta) * scenario.capacities))
     _write_outcome(out / "outcome.csv", outcome, manifest)
-    _write_table(out / "budget.csv", budget, manifest)
+    budget = [_line(total, predicted, outcome.beta)]
+    _write_lines(out / "budget.csv", ["total_payments", "predicted", "beta"], budget, manifest)
     _write_meta(out, manifest, {"beta": outcome.beta})
 
 
@@ -204,24 +208,21 @@ def cmd_incentive_sweep(args, manifest: RunManifest, out: Path) -> None:
     rho = scenario.population
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         sweep = sweep_from_reports(list(pool.map(lambda n: incentive_gap(scenario, rho, n), i_list)))
-    rows = []
-    for report in sweep.reports:
-        for true_type, gap in sorted(report.per_type_gap.items()):
-            best = report.best_misreport[true_type]
-            rows.append(
-                {
-                    "I": report.num_agents,
-                    "theta": true_type[0],
-                    "zeta": true_type[1],
-                    "best_misreport_theta": best[0] if best else "",
-                    "best_misreport_zeta": best[1] if best else "",
-                    "gap": gap,
-                    "bound": report.epsilon_bound,
-                    "holds": gain_within_bound(gap, report.epsilon_bound),
-                    "slope": sweep.slope,
-                }
-            )
-    _write_table(out / "sweep.csv", rows, manifest)
+    header = ["I", "theta", "zeta", "best_misreport_theta", "best_misreport_zeta", "gap", "bound", "holds", "slope"]
+    rows = [
+        _line(
+            report.num_agents,
+            *true_type,
+            *(report.best_misreport[true_type] or ("", "")),
+            gap,
+            report.epsilon_bound,
+            gain_within_bound(gap, report.epsilon_bound),
+            sweep.slope,
+        )
+        for report in sweep.reports
+        for true_type, gap in sorted(report.per_type_gap.items())
+    ]
+    _write_lines(out / "sweep.csv", header, rows, manifest)
     _write_meta(out, manifest, {"i_list": i_list, "slope": _json_number(sweep.slope)})
 
 
@@ -230,17 +231,11 @@ def cmd_sensitivity(args, manifest: RunManifest, out: Path) -> None:
     solution = solve_weighted(scenario, scenario.population.shares, scenario.per_capita_capacities())
     sens = price_sensitivity(scenario, scenario.population, solution)
     ts = scenario.type_space
-    rows = []
-    for n in range(ts.num_resources):
-        row = {"resource": n}
-        for r in range(ts.num_types):
-            theta, zeta = ts.unflatten(r)
-            row[f"dp_drho_{theta}_{zeta}"] = float(sens.dp_drho[n, r])
-        rows.append(row)
-    _write_table(out / "sensitivity.csv", rows, manifest)
+    header = ["resource", *("dp_drho_{}_{}".format(*ts.unflatten(r)) for r in range(ts.num_types))]
+    _write_lines(out / "sensitivity.csv", header, _float_rows(range(ts.num_resources), sens.dp_drho), manifest)
     if scenario.population.is_finite:
         lhs, rhs, holds = sensitivity_norm_bound_check(scenario, scenario.population, solution)
-        _write_table(out / "bound.csv", [{"lhs": lhs, "rhs": rhs, "holds": holds}], manifest)
+        _write_lines(out / "bound.csv", ["lhs", "rhs", "holds"], [_line(lhs, rhs, holds)], manifest)
         _write_meta(out, manifest, {"bound_holds": bool(holds)})
     else:
         _write_meta(out, manifest, {"bound_holds": None})
@@ -249,15 +244,11 @@ def cmd_sensitivity(args, manifest: RunManifest, out: Path) -> None:
 def cmd_superimpose(args, manifest: RunManifest, out: Path) -> None:
     scenario = _load_static(args)
     trace = run_algorithm(obedient_actions(_finite_profile(scenario)), scenario)
-    rows = []
-    for k in range(trace.rounds_used):
-        row = {"round": k + 1}
-        for n in range(scenario.type_space.num_resources):
-            row[f"p_{n}"] = float(trace.round_prices[k, n])
-        for n in range(scenario.type_space.num_resources):
-            row[f"demand_{n}"] = float(trace.round_demand[k, n])
-        rows.append(row)
-    _write_table(out / "trace.csv", rows, manifest)
+    resources = range(scenario.type_space.num_resources)
+    header = ["round", *(f"p_{n}" for n in resources), *(f"demand_{n}" for n in resources)]
+    rounds = range(1, trace.rounds_used + 1)
+    block = np.hstack([trace.round_prices, trace.round_demand])
+    _write_lines(out / "trace.csv", header, _float_rows(rounds, block), manifest)
     _write_meta(out, manifest, {"converged": bool(trace.converged), "rounds": trace.rounds_used})
     if not trace.converged:
         raise SolverError(
@@ -272,21 +263,18 @@ def cmd_dynamic(args, manifest: RunManifest, out: Path) -> None:
     policy = plan_policy(dyn, args.mode)
     num_agents = dyn.static.population.num_agents if dyn.static.population.is_finite else None
     gap_rows = dynamic_incentive_gap(dyn, policy, num_agents)
-    rows = []
-    for t, gap_row in enumerate(gap_rows):
-        slot = gap_row.slot
-        row = {"t": t}
-        for theta in range(dyn.num_types):
-            row[f"rho_{theta}"] = float(policy.rho_path[t, theta])
-        for theta in range(dyn.num_types):
-            row[f"z_{theta}"] = float(slot.z[theta, 0])
-        row["p_0"] = float(slot.p[0])
-        for theta in range(dyn.num_types):
-            row[f"payment_{theta}"] = float(slot.payments[theta])
-        row["max_gap"] = gap_row.max_gap
-        row["bound"] = gap_row.bound
-        rows.append(row)
-    _write_table(out / "slots.csv", rows, manifest)
+    types = range(dyn.num_types)
+    header = ["t", *(f"rho_{theta}" for theta in types), *(f"z_{theta}" for theta in types), "p_0",
+              *(f"payment_{theta}" for theta in types), "max_gap", "bound"]
+    block = np.column_stack([
+        policy.rho_path[: len(gap_rows)],
+        [row.slot.z[:, 0] for row in gap_rows],
+        [row.slot.p[0] for row in gap_rows],
+        [row.slot.payments for row in gap_rows],
+        [row.max_gap for row in gap_rows],
+        [row.bound for row in gap_rows],
+    ])
+    _write_lines(out / "slots.csv", header, _float_rows(range(len(gap_rows)), block), manifest)
     _write_meta(out, manifest, {"mode": args.mode, "welfare": policy.welfare, "horizon": dyn.horizon})
 
 

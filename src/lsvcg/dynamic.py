@@ -26,7 +26,7 @@ from typing import Literal
 
 import numpy as np
 
-from .incentives import gain_within_bound, misreport_gain_bound
+from .incentives import _gain_bound_terms, gain_within_bound
 from .model import (
     Scenario,
     ValidationError,
@@ -627,6 +627,9 @@ def dynamic_incentive_gap(
         short = np.flatnonzero(np.any(rho <= 0, axis=1))
         if short.size:
             raise ValidationError(f"bound undefined: a type share hits zero at slot {short[0]}")
+        # misreport_gain_bound at each slot's shares, its share-free terms computed once
+        numerator, l_f_sq = _gain_bound_terms(dyn.static, num_agents)
+        bounds = [numerator / (l_f_sq * min_rho**4) for min_rho in rho.min(axis=1).tolist()]
         # a type with no whole agent at a slot has no one to deviate
         present = ~(rho * num_agents < 1.0 - 1e-9)
     else:
@@ -684,7 +687,7 @@ def dynamic_incentive_gap(
         if num_agents is None:
             bound, holds = 0.0, max_gap <= 1e-9
         else:
-            bound = misreport_gain_bound(dyn.static, rho[t], num_agents)
+            bound = bounds[t]
             holds = gain_within_bound(max_gap, bound)
         slot = SlotOutcome(t=t, z=truthful_z[t], p=truthful_p[t], payments=truthful_payments[t], payoffs=truthful[t])
         rows.append(

@@ -77,18 +77,22 @@ def misreport_gain_bound(scenario: Scenario, rho: Population | np.ndarray, num_a
     the deviator's share-weighted gain (per-head gain times
     ``1 / num_agents``) it would be a factor ``num_agents`` looser.
     """
-    if num_agents < 1:
-        raise ValidationError("the gain bound needs a positive head count")
+    numerator, l_f_sq = _gain_bound_terms(scenario, num_agents)
     shares = rho.shares if isinstance(rho, Population) else np.asarray(rho, dtype=float)
     if np.any(shares <= 0):
         raise ValidationError("the gain bound requires every type share to be positive")
+    return numerator / (l_f_sq * float(np.min(shares)) ** 4)
+
+
+def _gain_bound_terms(scenario: Scenario, num_agents: int) -> tuple[float, float]:
+    """The share-free numerator and ``l_f**2`` of :func:`misreport_gain_bound`, whose
+    ceiling is ``numerator / (l_f**2 * min_rho**4)``."""
+    if num_agents < 1:
+        raise ValidationError("the gain bound needs a positive head count")
     l_theta_sum = float(np.sum(np.max(scenario.utility.weights, axis=1)))
-    l_f = scenario.influence.derivative_lower_bound
     caps_sq = float(np.sum(scenario.capacities**2))
-    min_rho = float(np.min(shares))
-    return (2.0 / num_agents**2) * scenario.type_space.num_zeta * l_theta_sum * caps_sq / (
-        l_f**2 * min_rho**4
-    )
+    numerator = (2.0 / num_agents**2) * scenario.type_space.num_zeta * l_theta_sum * caps_sq
+    return numerator, scenario.influence.derivative_lower_bound**2
 
 
 def gain_within_bound(gap: float, bound: float) -> bool:

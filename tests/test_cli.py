@@ -3,9 +3,12 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lsvcg.cli import main
+from lsvcg.cli import RunManifest, _floats, _format, _write_outcome, main
 from lsvcg.dynamic import DynamicScenario, TransitionKernel, save_dynamic_scenario
 from lsvcg.generate import (
     dynamic_benchmark,
@@ -15,7 +18,9 @@ from lsvcg.generate import (
     rng_for,
     scale_capacity,
 )
-from lsvcg.model import Population, load_scenario, save_scenario
+from lsvcg.mechanisms import large_scale_vcg, outcome_cell_rows
+from lsvcg.model import Population, Profile, load_scenario, save_scenario
+from lsvcg.solver import price_sensitivity, solve_weighted
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -394,3 +399,75 @@ def test_seed_recorded_in_headers(scenario_file, tmp_path):
     for path in out.iterdir():
         if path.suffix == ".csv":
             assert "# seed: 42" in path.read_text()
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan, 1e16, 0.1]
+_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), st.sampled_from(_EDGE_FLOATS))
+
+
+@given(st.lists(st.tuples(_FLOATS, st.booleans()), max_size=12))
+def test_float_block_text_is_format_of_each_value(cells):
+    values = [np.float64(x) if as_numpy else x for x, as_numpy in cells]
+    expected = ",".join(_format(x) for x in values)
+    assert _floats(values) == expected
+    assert _floats(np.array(values, dtype=float)) == expected
+
+
+def _table(path: Path) -> tuple[list[str], list[list[str]]]:
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def _bits(cells: list[str]) -> bytes:
+    return np.array([float(c) for c in cells]).tobytes()
+
+
+def test_numeric_tables_parse_back_bit_for_bit(tmp_path):
+    scenario = random_scenario(
+        rng_for(5, 4), num_theta=3, num_zeta=2, num_resources=8, num_agents=None, quadratic=True
+    )
+    path = tmp_path / "wide.json"
+    path.write_bytes(save_scenario(scenario))
+    scenario = load_scenario(path.read_bytes())
+    solution = solve_weighted(scenario, scenario.population.shares, scenario.per_capita_capacities())
+    dp_drho = price_sensitivity(scenario, scenario.population, solution).dp_drho
+    for sub in ("solve", "sensitivity"):
+        assert _run(sub, "--scenario", str(path), "--out", str(tmp_path / "run")) == 0
+
+    header, rows = _table(tmp_path / "run" / "solution.csv")
+    resources = range(8)
+    assert header == ["theta", "zeta", "share", *(f"z_{n}" for n in resources),
+                      *(f"p_{n}" for n in resources), "kkt_residual"]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(theta, zeta) for theta in range(3) for zeta in range(2)]
+    assert _bits([r[2] for r in rows]) == solution.weights.tobytes()
+    assert _bits([c for r in rows for c in r[3:11]]) == solution.z.tobytes()
+    for r in rows:
+        assert _bits(r[11:19]) == solution.p.tobytes()
+        assert _bits(r[19:]) == np.float64(solution.kkt_residual).tobytes()
+
+    header, rows = _table(tmp_path / "run" / "sensitivity.csv")
+    assert header == ["resource", *(f"dp_drho_{theta}_{zeta}" for theta in range(3) for zeta in range(2))]
+    assert [int(r[0]) for r in rows] == list(resources)
+    assert _bits([c for r in rows for c in r[1:]]) == dp_drho.tobytes()
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [[[3, 0, 1, 0], [0, 0, 0, 0], [0, 2, 5, 0], [1, 0, 0, 7]], [[0, 0, 0, 0], [0, 0, 1, 0], [0] * 4, [0] * 4]],
+    ids=["several-cells", "one-agent"],
+)
+def test_outcome_numbers_agents_cell_by_cell(counts, tmp_path):
+    scenario = random_scenario(rng_for(3, 9), num_theta=2, num_zeta=2, num_resources=3, num_agents=None)
+    profile = Profile(scenario.type_space, np.array(counts))
+    outcome = large_scale_vcg(profile, scenario, report_distribution=scenario.population)
+    path = tmp_path / "outcome.csv"
+    _write_outcome(path, outcome, RunManifest("lsvcg", "doc.json", 0))
+    lines = [line for line in path.read_text().split("\n") if not line.startswith("#")]
+    assert lines[-1] == ""  # the file ends in one newline, with no blank line before it
+    header, body = lines[0], lines[1:-1]
+    cell_rows = outcome_cell_rows(outcome)
+    assert header.split(",") == ["id", *cell_rows[0]]
+    agent_cells = [c for c, count in enumerate(profile.cells.counts.tolist()) for _ in range(count)]
+    assert len(body) == profile.num_agents
+    for i, (line, c) in enumerate(zip(body, agent_cells)):
+        assert line == ",".join([str(i), *(_format(value) for value in cell_rows[c].values())])

@@ -222,6 +222,17 @@ def test_finite_population_gaps_below_bound():
         assert all(row.holds for row in rows)
 
 
+@pytest.mark.parametrize("kernel", ["mixing", "allocation"])
+def test_each_slot_bound_is_the_static_ceiling_at_its_shares(kernel):
+    dyn = dynamic_benchmark(kernel=kernel, discount=0.9, num_bins=4)
+    policy = plan_policy(dyn, "myopic")
+    rows = dynamic_incentive_gap(dyn, policy, 20)
+    assert len(rows) == dyn.horizon
+    for t, row in enumerate(rows):
+        expected = misreport_gain_bound(dyn.static, policy.rho_path[t], 20)
+        assert np.float64(row.bound).tobytes() == np.float64(expected).tobytes()
+
+
 def test_identity_kernel_keeps_bound_constant():
     dyn = dynamic_benchmark(kernel="identity", discount=0.5)
     policy = plan_policy(dyn, "myopic")
