@@ -8,10 +8,12 @@ agents), ``dynamic`` in both planning modes (``myopic`` and ``fixed-point``),
 and ``dynamic`` on the ``mixing``, ``allocation`` and ``switching`` presets at
 discounts 0.5 and 0.9.  Each run writes to a fresh temporary directory.
 Prints one ``sha256  run/file`` line per output file and one ``exit N  run``
-line per run, where ``run`` is ``subcommand/scenario``.  Lines that name the
-scenario's path (its header line and its ``meta.json`` field) are left out
-of the hash, so two checkouts give equal printouts exactly when their
-outputs are byte-identical:
+line per run, where ``run`` is ``subcommand/scenario``: ``scenario`` is the
+file stem of a default document and the path, as given, of a document named
+on the command line (so same-named documents in different directories stay
+apart).  Lines that name the scenario's path (its header line and its
+``meta.json`` field) are left out of the hash, so two checkouts give equal
+printouts exactly when their outputs are byte-identical:
 
     PYTHONPATH=src python scripts/output_digests.py > new.txt
     PYTHONPATH=/path/to/other/checkout/src python scripts/output_digests.py > old.txt
@@ -69,13 +71,13 @@ def generated_documents(scratch: Path) -> list[Path]:
     return documents
 
 
-def runs(documents: list[Path], scratch: Path):
-    """(label, document, argv) of every run."""
-    for doc in documents:
+def runs(documents: list[tuple[str, Path]], scratch: Path):
+    """(label, document, argv) of every run on the (name, document) pairs, then on the presets."""
+    for name, doc in documents:
         for sub in STATIC_SUBCOMMANDS:
-            yield f"{sub}/{doc.stem}", doc, [sub]
+            yield f"{sub}/{name}", doc, [sub]
         for mode in DYNAMIC_MODES:
-            yield f"dynamic-{mode}/{doc.stem}", doc, ["dynamic", "--mode", mode]
+            yield f"dynamic-{mode}/{name}", doc, ["dynamic", "--mode", mode]
     for kernel, discount in PRESETS:
         doc = scratch / f"{kernel}-{discount}.json"
         doc.write_bytes(save_dynamic_scenario(dynamic_benchmark(kernel, discount=discount, num_bins=4)))
@@ -90,7 +92,11 @@ def main_digests(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        documents = args.documents or [*sorted((ROOT / "scenarios").glob("*.json")), *generated_documents(Path(tmp))]
+        if args.documents:
+            documents = [(str(doc), doc) for doc in args.documents]
+        else:
+            defaults = [*sorted((ROOT / "scenarios").glob("*.json")), *generated_documents(Path(tmp))]
+            documents = [(doc.stem, doc) for doc in defaults]
         for label, doc, sub_argv in runs(documents, Path(tmp)):
             print("\n".join(run(label, doc, sub_argv, Path(tmp))), flush=True)
     return 0

@@ -31,10 +31,7 @@ from .solver import (
     kkt_residual,
     price_sensitivity,
     sensitivity_norm_bound_check,
-    solve_agent_list,
-    solve_population,
     solve_weighted,
-    aggregate_utility,
 )
 from .mechanisms import (
     Outcome,

@@ -277,31 +277,33 @@ def _rollout(dyn: DynamicScenario, allocate):
     return allocations, prices, rho_path
 
 
-def _value_table(dyn: DynamicScenario, allocations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _value_table(dyn: DynamicScenario, allocations: np.ndarray, utilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Back up per-type discounted values of following a plan, with the
-    continuation of every (slot, type, bin) (see :class:`Policy`)."""
+    continuation of every (slot, type, bin) (see :class:`Policy`), from the
+    plan's instantaneous ``utilities`` (H, T)."""
     horizon, num_types = allocations.shape[0], dyn.num_types
     kernel = dyn.kernel
     types = np.arange(num_types)
     q = kernel.probabilities.reshape(num_types, num_types * kernel.num_bins)
-    w = dyn.static.utility.weights
     table = np.zeros((horizon + 1, num_types))
     continuation = np.empty((horizon, num_types, kernel.num_bins))
     for t in range(horizon - 1, -1, -1):
         continuation[t] = dyn.discount * (table[t + 1] @ q).reshape(num_types, kernel.num_bins)
-        inst = np.sum(w * np.log1p(allocations[t]), axis=1)
-        table[t] = inst + continuation[t, types, kernel.bin_of(allocations[t][:, 0])]
+        table[t] = utilities[t] + continuation[t, types, kernel.bin_of(allocations[t][:, 0])]
     return table, continuation
+
+
+def _welfare(dyn: DynamicScenario, utilities: np.ndarray, rho_path: np.ndarray) -> float:
+    """Discounted population welfare of a plan's instantaneous ``utilities`` (H, T) along ``rho_path``."""
+    total = 0.0
+    for t, utility in enumerate(utilities):
+        total += dyn.discount**t * float(rho_path[t] @ utility)
+    return total
 
 
 def plan_welfare(dyn: DynamicScenario, allocations: np.ndarray, rho_path: np.ndarray) -> float:
     """Discounted population welfare of a plan along its own trajectory."""
-    w = dyn.static.utility.weights
-    total = 0.0
-    for t in range(allocations.shape[0]):
-        inst = np.sum(w * np.log1p(allocations[t]), axis=1)
-        total += dyn.discount**t * float(rho_path[t] @ inst)
-    return total
+    return _welfare(dyn, utility_value(dyn.static.utility, np.arange(dyn.num_types), allocations), rho_path)
 
 
 #: Most mechanism rollouts the ``fixed-point`` planner makes before it gives
@@ -312,7 +314,8 @@ MAX_PLAN_ITERATIONS = 10
 def _policy(dyn: DynamicScenario, mode: str, allocate) -> Policy:
     """Roll out ``allocate`` (see :func:`_rollout`) and back up its values."""
     allocations, prices, rho_path = _rollout(dyn, allocate)
-    value_table, continuation = _value_table(dyn, allocations)
+    utilities = utility_value(dyn.static.utility, np.arange(dyn.num_types), allocations)
+    value_table, continuation = _value_table(dyn, allocations, utilities)
     return Policy(
         mode=mode,
         allocations=allocations,
@@ -320,7 +323,7 @@ def _policy(dyn: DynamicScenario, mode: str, allocate) -> Policy:
         rho_path=rho_path,
         value_table=value_table,
         continuation=continuation,
-        welfare=plan_welfare(dyn, allocations, rho_path),
+        welfare=_welfare(dyn, utilities, rho_path),
     )
 
 
@@ -553,16 +556,9 @@ def _clear_slots(
 def _values(dyn: DynamicScenario, policy: Policy, slots, types, z: np.ndarray) -> np.ndarray:
     """:func:`value_u_sigma` of type ``types`` holding ``z`` (..., N) at slot ``slots``, from arrays.
 
-    ``slots``, ``types`` and the rows of ``z`` broadcast together.  Each
-    utility is one stacked dot over contiguous rows, which sums as
-    ``np.dot`` does.
+    ``slots``, ``types`` and the rows of ``z`` broadcast together.
     """
-    shape = np.broadcast_shapes(np.shape(slots), np.shape(types), z.shape[:-1])
-    slots, types = np.broadcast_to(slots, shape), np.broadcast_to(types, shape)
-    log_z = np.ascontiguousarray(np.broadcast_to(np.log1p(z), shape + z.shape[-1:]))
-    w = dyn.static.utility.weights[types]
-    utility = (w[..., None, :] @ log_z[..., :, None])[..., 0, 0]
-    return utility + policy.continuation[slots, types, dyn.kernel.bin_of(z)]
+    return utility_value(dyn.static.utility, types, z) + policy.continuation[slots, types, dyn.kernel.bin_of(z)]
 
 
 def _payments(z: np.ndarray, p: np.ndarray) -> np.ndarray:

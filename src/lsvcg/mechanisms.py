@@ -22,7 +22,8 @@ and payoff, so every rule computes once per occupied cell (at most ``R**2``
 cells for ``R`` types), whatever the head count.
 
 Capacity conventions.  With an explicit agent list, ``scenario.capacities``
-are totals shared by those agents (matching :func:`~lsvcg.solver.solve_agent_list`),
+are totals shared by those agents (matching :func:`~lsvcg.solver.solve_weighted`
+at the list's empirical shares with ``capacities`` divided by its head count),
 so the two mechanisms are directly comparable on one scenario.  With a report
 *distribution* (mean-field mode), capacities are read per capita, the rebate
 is ``beta * C_n``, and prices are independent of any single agent's report.
@@ -89,13 +90,7 @@ def _cell_payoffs(
 ) -> np.ndarray:
     """True-type utility of each cell's allocation minus its payment."""
     theta = cell_true // scenario.type_space.num_zeta
-    return np.array(
-        [
-            utility_value(scenario.utility, t, x) - h
-            for t, x, h in zip(theta.tolist(), cell_allocations, cell_payments)
-        ],
-        dtype=float,
-    )
+    return utility_value(scenario.utility, theta, cell_allocations) - cell_payments
 
 
 def vcg_exact(profile: Profile, scenario: Scenario) -> Outcome:
@@ -130,13 +125,14 @@ def vcg_exact(profile: Profile, scenario: Scenario) -> Outcome:
     weights = np.array(markets)
     prices, allocations, _ = clear_markets(scenario, weights, scenario.capacities)
     z = allocations[0]
-    w = scenario.type_weights()
-    per_type_utility = np.sum(w * np.log1p(z), axis=1)
+    # utility of every flat type at every market's allocation (K, R)
+    type_utility = utility_value(scenario.utility, np.arange(len(counts)) // scenario.type_space.num_zeta, allocations)
+    per_type_utility = type_utility[0]
     reported_welfare = float(counts @ per_type_utility)
 
     payment_of_report = np.zeros(scenario.type_space.num_types)
-    for r_idx, others, rest_z in zip(leave_out, weights[1:], allocations[1:]):
-        rest_welfare = float(others @ np.sum(w * np.log1p(rest_z), axis=1))
+    for r_idx, others, rest_utility in zip(leave_out, weights[1:], type_utility[1:]):
+        rest_welfare = float(others @ rest_utility)
         others_at_joint = reported_welfare - per_type_utility[r_idx]
         payment_of_report[r_idx] = rest_welfare - others_at_joint
 

@@ -365,12 +365,19 @@ class Scenario:
         return self.population.shares @ f_at_cap - self.per_capita_capacities()
 
 
-def utility_value(utility: UtilityParams, theta: int, x) -> float:
-    """``sum_n w[theta, n] * log(1 + x_n)`` for a nonnegative allocation."""
+def utility_value(utility: UtilityParams, theta, x):
+    """``sum_n w[theta, n] * log(1 + x_n)`` for nonnegative allocations ``x`` (..., N).
+
+    ``theta`` (an int or an int array) and the rows of ``x`` broadcast
+    together; one value per row, a float for a single row.  Each value is
+    one stacked dot over contiguous rows, which sums as ``np.dot`` does.
+    """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if (x < 0).any():
         raise ValidationError("allocation components must be nonnegative")
-    return float(np.dot(utility.weights[theta], np.log1p(x)))
+    log_x = np.ascontiguousarray(np.log1p(x))
+    value = (utility.weights[theta][..., None, :] @ log_x[..., :, None])[..., 0, 0]
+    return float(value) if value.ndim == 0 else value
 
 
 def empirical_population(assignments: Sequence[tuple[int, int]], type_space: TypeSpace) -> Population:

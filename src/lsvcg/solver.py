@@ -22,11 +22,10 @@ bound on that sensitivity used by the incentive experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
-from .model import Population, Scenario, ValidationError, _frozen_array, empirical_population
+from .model import Population, Scenario, ValidationError, _frozen_array
 
 __all__ = [
     "PRICE_TOLERANCE",
@@ -36,12 +35,9 @@ __all__ = [
     "PrimalDualSolution",
     "SensitivityResult",
     "best_response",
-    "solve_population",
-    "solve_agent_list",
     "solve_weighted",
     "clear_markets",
     "kkt_residual",
-    "aggregate_utility",
     "price_sensitivity",
     "sensitivity_norm_bound_check",
 ]
@@ -316,7 +312,9 @@ def solve_weighted(scenario: Scenario, weights, capacities=None) -> PrimalDualSo
     ``weights`` need not sum to one, and individual types may carry zero
     weight (their best-response rows are still reported, so a full menu of
     per-type allocations exists even for unrepresented reports).  This is the
-    entry point shared by the share-normalized and head-count solvers and
+    entry point of the share-normalized program (the scenario's shares at its
+    capacities), of the head-count program (the empirical shares of an agent
+    list, with ``capacities`` the totals divided by its head count) and of
     finite-difference probes; :func:`clear_markets` clears many markets at once.
     """
     weights = np.asarray(weights, dtype=float)
@@ -340,35 +338,6 @@ def solve_weighted(scenario: Scenario, weights, capacities=None) -> PrimalDualSo
 def _slack(scenario: Scenario, weights: np.ndarray, z: np.ndarray, capacities: np.ndarray) -> np.ndarray:
     """Capacity minus the ``weights``-weighted load of allocations ``z`` (R, N)."""
     return capacities - weights @ _influence_matrix(scenario, z)
-
-
-def solve_population(scenario: Scenario, rho: Population | None = None) -> PrimalDualSolution:
-    """Solve the share-weighted program at the scenario's capacities."""
-    pop = scenario.population if rho is None else rho
-    return solve_weighted(scenario, pop.shares, scenario.capacities)
-
-
-def solve_agent_list(
-    assignments: Sequence[tuple[int, int]], scenario: Scenario
-) -> tuple[PrimalDualSolution, Population]:
-    """Solve the head-count program over an explicit agent list.
-
-    The scenario's capacities are read as totals shared by the listed agents;
-    dividing them by the head count reduces the problem to the share-weighted
-    form, whose rows are exactly the per-agent allocations (agents of equal
-    type receive equal amounts).  Shadow prices agree with the head-count
-    program's own duals.
-    """
-    pop = empirical_population(assignments, scenario.type_space)
-    solution = solve_weighted(scenario, pop.shares, scenario.capacities / pop.num_agents)
-    return solution, pop
-
-
-def aggregate_utility(scenario: Scenario, weights, z: np.ndarray) -> float:
-    """Weighted aggregate utility of a per-type allocation matrix."""
-    weights = np.asarray(weights, dtype=float)
-    w = scenario.type_weights()
-    return float(np.sum(weights[:, None] * w * np.log1p(z)))
 
 
 def kkt_residual(solution: PrimalDualSolution, scenario: Scenario) -> float:

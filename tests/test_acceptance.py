@@ -30,8 +30,8 @@ from lsvcg.generate import (
 from lsvcg.dynamic import dynamic_incentive_gap, mean_field_step, mean_field_step_monte_carlo, plan_policy
 from lsvcg.incentives import decays_quadratically, loglog_slope, verify_incentive_bound
 from lsvcg.mechanisms import budget_audit, ir_audit, large_scale_vcg, shadow_payment_gap
-from lsvcg.model import Population, Profile
-from lsvcg.solver import sensitivity_norm_bound_check, solve_population, solve_weighted, price_sensitivity, aggregate_utility
+from lsvcg.model import Population, Profile, empirical_population, utility_value
+from lsvcg.solver import sensitivity_norm_bound_check, solve_weighted, price_sensitivity
 from lsvcg.superimpose import AlgorithmConfig, obedience_check, obedient_actions, run_algorithm
 
 SEED = 987650
@@ -114,9 +114,10 @@ def test_criterion_1_solver_matches_grid_oracle():
             num_agents=8,
             quadratic=bool(rng.integers(2)),
         )
-        solution = solve_population(scenario)
+        solution = solve_weighted(scenario, scenario.population.shares)
         worst_resid = max(worst_resid, solution.kkt_residual)
-        solver_obj = aggregate_utility(scenario, scenario.population.shares, solution.z)
+        theta = np.arange(num_theta * num_zeta) // num_zeta
+        solver_obj = float(scenario.population.shares @ utility_value(scenario.utility, theta, solution.z))
         oracle_obj = _grid_oracle_objective(scenario)
         worst_rel = max(worst_rel, abs(solver_obj - oracle_obj) / max(abs(solver_obj), 1e-12))
     elapsed = time.perf_counter() - started
@@ -282,7 +283,7 @@ def test_criterion_7_sensitivity_and_norm_bound():
             num_agents=8,
             quadratic=bool(rng.integers(2)),
         )
-        solution = solve_population(scenario)
+        solution = solve_weighted(scenario, scenario.population.shares)
         jac = price_sensitivity(scenario, scenario.population, solution).dp_drho
         shares = scenario.population.shares
         directional = jac - (jac @ shares)[:, None]  # derivative along renormalized bumps
@@ -305,7 +306,7 @@ def test_criterion_7_sensitivity_and_norm_bound():
             num_agents=num_theta * num_zeta * int(rng.integers(1, 5)),
             quadratic=bool(rng.integers(2)),
         )
-        solution = solve_population(scenario)
+        solution = solve_weighted(scenario, scenario.population.shares)
         _, _, holds = sensitivity_norm_bound_check(scenario, scenario.population, solution)
         held += bool(holds)
     _report(
@@ -332,7 +333,8 @@ def test_criterion_8_obedience_and_fixed_point():
         profile = Profile.from_agents(assignments, scenario.type_space)
         trace = run_algorithm(obedient_actions(profile), scenario, config)
         assert trace.converged
-        central, _ = lsvcg.solve_agent_list(assignments, scenario)
+        pop = empirical_population(assignments, scenario.type_space)
+        central = solve_weighted(scenario, pop.shares, scenario.capacities / pop.num_agents)
         worst_price_err = max(worst_price_err, float(np.max(np.abs(trace.final_prices - central.p))))
         menu_err = max(
             float(np.max(np.abs(trace.final_menu[r] - central.z[r])))

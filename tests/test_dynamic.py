@@ -549,6 +549,8 @@ def _assert_same_plan_and_gaps(dyn: DynamicScenario, mode: str):
     policy = plan_policy(dyn, mode)
     reference = _reference_plan(dyn, mode)
     assert policy.mode == reference.mode and policy.welfare == reference.welfare
+    # the plan's welfare shares the backup's utilities and equals the public formula bit for bit
+    assert policy.welfare == plan_welfare(dyn, policy.allocations, policy.rho_path)
     for name in ("allocations", "prices", "rho_path", "value_table", "continuation"):
         assert np.array_equal(getattr(policy, name), getattr(reference, name)), name
     for num_agents in (None, 10):

@@ -27,9 +27,10 @@ from lsvcg.model import (
     TypeSpace,
     UtilityParams,
     ValidationError,
+    empirical_population,
     utility_value,
 )
-from lsvcg.solver import solve_agent_list
+from lsvcg.solver import solve_weighted
 
 
 def _agent_values(outcome, values, agents, reports=None):
@@ -133,7 +134,8 @@ def test_truthful_run_solves_reported_program(bench_gap):
     scenario = scale_capacity(bench_gap, 8)
     assignments = replicate_assignments(bench_gap.population.shares, 8, bench_gap.type_space)
     outcome = large_scale_vcg(Profile.from_agents(assignments, scenario.type_space), scenario)
-    sol, pop = solve_agent_list(assignments, scenario)
+    pop = empirical_population(assignments, scenario.type_space)
+    sol = solve_weighted(scenario, pop.shares, scenario.capacities / pop.num_agents)
     allocations = _agent_values(outcome, outcome.cell_allocations, assignments)
     for i, (theta, zeta) in enumerate(assignments):
         r = scenario.type_space.flat_index(theta, zeta)

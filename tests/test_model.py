@@ -43,6 +43,39 @@ def test_utility_value_rejects_negative_allocation():
         utility_value(u, 0, [-0.1])
 
 
+@st.composite
+def utility_rows(draw):
+    """Weights, types and allocation rows in C, Fortran and strided layouts."""
+    num_theta, num_resources = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.05, 5.0, (num_theta, num_resources))
+    theta = rng.integers(num_theta, size=(rows, cols))
+    x = rng.uniform(0.0, 40.0, (rows, cols, 2 * num_resources))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "strided":
+        x = x[..., ::2]
+    else:
+        x = np.asarray(x[..., :num_resources], order=layout)
+    return UtilityParams(weights=weights), theta, x
+
+
+@given(case=utility_rows())
+@settings(max_examples=200, deadline=None)
+def test_utility_value_rows_equal_per_row_dots_bit_for_bit(case):
+    u, theta, x = case
+    values = utility_value(u, theta, x)
+    assert values.shape == theta.shape
+    for idx in np.ndindex(theta.shape):
+        expected = float(np.dot(u.weights[theta[idx]], np.log1p(x[idx])))
+        assert values[idx] == expected == utility_value(u, int(theta[idx]), x[idx])
+    # one type broadcast over every row, and rows broadcast over types
+    assert np.array_equal(utility_value(u, 0, x), [[np.dot(u.weights[0], np.log1p(r)) for r in row] for row in x])
+    types = np.arange(u.weights.shape[0])
+    assert np.array_equal(utility_value(u, types, x[0, 0]), [np.dot(w, np.log1p(x[0, 0])) for w in u.weights])
+
+
 def test_influence_closed_forms():
     f = InfluenceParams(linear=[[1.0]], quadratic=[[0.0]])
     assert f.load(0, 2.0)[0] == pytest.approx(2.0)

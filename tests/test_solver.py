@@ -14,8 +14,10 @@ from lsvcg.model import (
     Population,
     UtilityParams,
     ValidationError,
+    empirical_population,
     load_scenario,
     scenario_to_dict,
+    utility_value,
 )
 from lsvcg.solver import (
     PRICE_TOLERANCE,
@@ -26,10 +28,7 @@ from lsvcg.solver import (
     kkt_residual,
     price_sensitivity,
     sensitivity_norm_bound_check,
-    solve_agent_list,
-    solve_population,
     solve_weighted,
-    aggregate_utility,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -72,7 +71,7 @@ def test_best_response_matches_grid_search():
 
 
 def test_single_type_hand_solution(bench1):
-    sol = solve_population(bench1)
+    sol = solve_weighted(bench1, bench1.population.shares)
     assert sol.z[0, 0] == pytest.approx(1.0, abs=1e-10)
     assert sol.p[0] == pytest.approx(0.5, abs=1e-10)
     assert sol.kkt_residual <= 1e-8
@@ -82,7 +81,7 @@ def test_zero_price_when_capacity_slack(bench1):
     from dataclasses import replace
 
     big = replace(bench1, capacities=np.array([1e4]))
-    sol = solve_population(big)
+    sol = solve_weighted(big, big.population.shares)
     assert sol.p[0] == 0.0
     assert sol.z[0, 0] == big.z_max  # cap-free optimum under the allocation cap
 
@@ -99,12 +98,13 @@ def test_identical_types_get_identical_rows():
         beta=0.0,
         z_max=50.0,
     )
-    sol = solve_population(scenario)
+    sol = solve_weighted(scenario, scenario.population.shares)
     assert np.array_equal(sol.z[0], sol.z[1])
 
 
 def test_finite_solver_single_agent(bench1):
-    sol, pop = solve_agent_list([(0, 0)], bench1)
+    pop = empirical_population([(0, 0)], bench1.type_space)
+    sol = solve_weighted(bench1, pop.shares, bench1.capacities / pop.num_agents)
     assert pop.num_agents == 1
     assert sol.z[0, 0] == pytest.approx(1.0, abs=1e-10)
     assert sol.p[0] == pytest.approx(0.5, abs=1e-10)
@@ -114,7 +114,8 @@ def test_finite_solver_symmetric_split(bench1):
     from dataclasses import replace
 
     two = replace(bench1, capacities=np.array([2.0]))
-    sol, pop = solve_agent_list([(0, 0), (0, 0)], two)
+    pop = empirical_population([(0, 0), (0, 0)], two.type_space)
+    sol = solve_weighted(two, pop.shares, two.capacities / pop.num_agents)
     assert pop.num_agents == 2
     assert sol.z[0, 0] == pytest.approx(1.0, abs=1e-10)
 
@@ -122,8 +123,10 @@ def test_finite_solver_symmetric_split(bench1):
 def test_finite_solver_beats_random_feasible_points(rng):
     scenario = random_scenario(rng, num_theta=2, num_zeta=2, num_resources=2, num_agents=8, quadratic=True)
     assignments = [scenario.type_space.unflatten(r) for r in range(4)] * 2
-    sol, pop = solve_agent_list(assignments, scenario)
-    best = aggregate_utility(scenario, pop.shares, sol.z)
+    pop = empirical_population(assignments, scenario.type_space)
+    sol = solve_weighted(scenario, pop.shares, scenario.capacities / pop.num_agents)
+    theta = np.arange(4) // scenario.type_space.num_zeta
+    best = float(pop.shares @ utility_value(scenario.utility, theta, sol.z))
     a = scenario.type_linear()
     b = scenario.type_quadratic()
     caps = scenario.capacities / pop.num_agents
@@ -133,15 +136,15 @@ def test_finite_solver_beats_random_feasible_points(rng):
         load = pop.shares @ (a * z + b * z * z)
         if np.any(load > caps):
             continue
-        if aggregate_utility(scenario, pop.shares, z) > best + 1e-9:
+        if float(pop.shares @ utility_value(scenario.utility, theta, z)) > best + 1e-9:
             found_better = True
     assert not found_better
 
 
 def test_solver_is_deterministic(rng):
     scenario = random_scenario(rng, num_theta=3, num_zeta=1, num_resources=2, num_agents=9)
-    a = solve_population(scenario)
-    b = solve_population(scenario)
+    a = solve_weighted(scenario, scenario.population.shares)
+    b = solve_weighted(scenario, scenario.population.shares)
     assert np.array_equal(a.z, b.z) and np.array_equal(a.p, b.p)
     assert a.kkt_residual == b.kkt_residual
 
@@ -162,8 +165,8 @@ def test_type_permutation_permutes_rows(rng):
         beta=scenario.beta,
         z_max=scenario.z_max,
     )
-    sol = solve_population(scenario)
-    sol_perm = solve_population(permuted)
+    sol = solve_weighted(scenario, scenario.population.shares)
+    sol_perm = solve_weighted(permuted, permuted.population.shares)
     assert np.allclose(sol_perm.z, sol.z[perm], atol=1e-12)
 
 
@@ -191,7 +194,7 @@ def test_nonconvergence_raises_with_residual_report(bench_gap, monkeypatch):
     # clearing price 0.65 is not reachable in three halvings of [0, 1.6]
     monkeypatch.setattr(lsvcg.solver, "MAX_BISECTION_STEPS", 3)
     with pytest.raises(SolverError, match="demand - capacity") as exc:
-        solve_population(bench_gap)
+        solve_weighted(bench_gap, bench_gap.population.shares)
     assert "bracket" in str(exc.value) and "3 bisection steps" in str(exc.value)
     # in a batch, the error names the first market that fails, and its resource
     free = np.array([1e-12, 1e-12])  # demand at z_max fits: clears at zero, in no steps
@@ -380,7 +383,7 @@ def test_degenerate_documents_solve_or_raise_a_typed_error(seed, capacity_scale,
         loaded = load_scenario(json.dumps(doc))
     except ValidationError:
         return
-    solution = solve_population(loaded)
+    solution = solve_weighted(loaded, loaded.population.shares)
     event("loaded")
     assert np.all(np.isfinite(solution.p)) and np.all(np.isfinite(solution.z))
     assert solution.kkt_residual <= 1e-9
@@ -390,14 +393,14 @@ def test_degenerate_documents_solve_or_raise_a_typed_error(seed, capacity_scale,
 
 
 def test_kkt_residual_zero_at_hand_solution(bench1):
-    sol = solve_population(bench1)
+    sol = solve_weighted(bench1, bench1.population.shares)
     assert kkt_residual(sol, bench1) <= 1e-12
 
 
 def test_kkt_residual_detects_perturbation(bench1):
     from dataclasses import replace as dc_replace
 
-    sol = solve_population(bench1)
+    sol = solve_weighted(bench1, bench1.population.shares)
     z_perturbed = sol.z + 0.1
     bad = dc_replace(sol, z=z_perturbed)
     assert kkt_residual(bad, bench1) > 1e-3
@@ -413,14 +416,14 @@ def test_solver_residual_small_on_random_instances(rng):
             num_agents=8,
             quadratic=bool(rng.integers(2)),
         )
-        assert solve_population(scenario).kkt_residual <= 1e-8
+        assert solve_weighted(scenario, scenario.population.shares).kkt_residual <= 1e-8
 
 
 # -- price sensitivity ---------------------------------------------------------
 
 
 def test_sensitivity_hand_value(bench1):
-    sol = solve_population(bench1)
+    sol = solve_weighted(bench1, bench1.population.shares)
     sens = price_sensitivity(bench1, bench1.population, sol)
     # D = 1, curvature 1/(1+1)^2 = 1/4, f(z*) = 1: dp/drho = 1/4.
     assert sens.dp_drho[0, 0] == pytest.approx(0.25, abs=1e-9)
@@ -441,7 +444,7 @@ def _finite_difference_jacobian(scenario, step=1e-5):
 def test_sensitivity_matches_finite_differences(rng):
     for _ in range(5):
         scenario = random_scenario(rng, num_theta=2, num_zeta=2, num_resources=2, num_agents=8, quadratic=True)
-        sol = solve_population(scenario)
+        sol = solve_weighted(scenario, scenario.population.shares)
         sens = price_sensitivity(scenario, scenario.population, sol)
         fd = _finite_difference_jacobian(scenario)
         rel = np.max(np.abs(fd - sens.dp_drho) / np.maximum(np.abs(fd), 1e-12))
@@ -452,7 +455,7 @@ def test_sensitivity_scale_invariance(rng):
     # scaling weights and capacities together leaves (z, p) fixed and divides
     # the Jacobian by the scale factor
     scenario = random_scenario(rng, num_theta=2, num_zeta=1, num_resources=1, num_agents=8)
-    sol = solve_population(scenario)
+    sol = solve_weighted(scenario, scenario.population.shares)
     sens = price_sensitivity(scenario, scenario.population, sol)
     kappa = 3.0
     scaled_weights = scenario.population.shares * kappa
@@ -466,13 +469,13 @@ def test_sensitivity_rejects_degenerate_points(bench1):
     from dataclasses import replace
 
     slack = replace(bench1, capacities=np.array([1e4]))
-    sol = solve_population(slack)
+    sol = solve_weighted(slack, slack.population.shares)
     with pytest.raises(DegeneratePointError, match="degenerate"):
         price_sensitivity(slack, slack.population, sol)
 
 
 def test_norm_bound_on_hand_instance(bench1):
-    sol = solve_population(bench1)
+    sol = solve_weighted(bench1, bench1.population.shares)
     lhs, rhs, holds = sensitivity_norm_bound_check(bench1, bench1.population, sol)
     assert lhs == pytest.approx(0.25, abs=1e-9)
     assert rhs == pytest.approx(1.0, abs=1e-12)  # |Z|=1, sum L=1, C=1, I=1, rho=1
@@ -481,7 +484,7 @@ def test_norm_bound_on_hand_instance(bench1):
 
 def test_norm_bound_needs_finite_population(rng):
     scenario = random_scenario(rng, num_agents=None)
-    sol = solve_population(scenario)
+    sol = solve_weighted(scenario, scenario.population.shares)
     with pytest.raises(ValidationError):
         sensitivity_norm_bound_check(scenario, scenario.population, sol)
 
@@ -525,7 +528,7 @@ def test_four_type_solution_matches_independent_nlp():
     rng = rng_for(2, 5)
     for _ in range(5):
         scenario = random_scenario(rng, num_theta=2, num_zeta=2, num_resources=2, num_agents=8, quadratic=True)
-        sol = solve_population(scenario)
+        sol = solve_weighted(scenario, scenario.population.shares)
         shares = scenario.population.shares
         w = scenario.type_weights()
         a = scenario.type_linear()
@@ -553,7 +556,7 @@ def test_four_type_solution_matches_independent_nlp():
             options={"maxiter": 500, "ftol": 1e-12},
         )
         assert result.success
-        ours = aggregate_utility(scenario, shares, sol.z)
+        ours = float(shares @ utility_value(scenario.utility, np.arange(4) // scenario.type_space.num_zeta, sol.z))
         theirs = -result.fun
         assert ours >= theirs - 1e-6
         assert abs(ours - theirs) <= 1e-5 * max(1.0, abs(ours))

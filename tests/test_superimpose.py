@@ -6,7 +6,6 @@ import pytest
 from lsvcg.generate import obedience_scenario, rng_for, scale_capacity, single_type_benchmark
 from lsvcg.mechanisms import large_scale_vcg
 from lsvcg.model import Population, Profile, ValidationError
-from lsvcg.solver import solve_agent_list
 from lsvcg.superimpose import (
     AlgorithmConfig,
     obedience_check,
