@@ -5,8 +5,11 @@ Runs every subcommand on every scenario document given (default:
 ``scenarios/*.json`` plus two generated documents, a wide one with 16 types
 and 8 resources over an infinite population and a head-count one with 60
 agents), ``dynamic`` in both planning modes (``myopic`` and ``fixed-point``),
-and ``dynamic`` on the ``mixing``, ``allocation`` and ``switching`` presets at
-discounts 0.5 and 0.9.  Each run writes to a fresh temporary directory.
+``dynamic`` on the ``mixing``, ``allocation`` and ``switching`` presets at
+discounts 0.5 and 0.9, and ``dynamic`` on a generated document with 3 types,
+3 resources, 40 agents and an allocation-independent kernel (the only
+digested rollout that clears more than one resource).  Each run writes to a
+fresh temporary directory.
 Prints one ``sha256  run/file`` line per output file and one ``exit N  run``
 line per run, where ``run`` is ``subcommand/scenario``: ``scenario`` is the
 file stem of a default document and the path, as given, of a document named
@@ -30,12 +33,15 @@ import hashlib
 import io
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from lsvcg.cli import main
-from lsvcg.dynamic import save_dynamic_scenario
+from lsvcg.dynamic import DynamicScenario, TransitionKernel, save_dynamic_scenario
 from lsvcg.generate import dynamic_benchmark, random_scenario, rng_for, scale_capacity
-from lsvcg.model import save_scenario
+from lsvcg.model import InfluenceParams, save_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 STATIC_SUBCOMMANDS = ("solve", "vcg", "lsvcg", "incentive-sweep", "sensitivity", "superimpose")
@@ -71,6 +77,17 @@ def generated_documents(scratch: Path) -> list[Path]:
     return documents
 
 
+def several_resource_dynamic() -> DynamicScenario:
+    """3 types over 3 resources with identity influence, 40 agents and an
+    allocation-independent kernel: every slot clears a 3-resource static market."""
+    rng = rng_for(3, 0)
+    base = random_scenario(rng, num_theta=3, num_zeta=1, num_resources=3, num_agents=40)
+    static = replace(base, influence=InfluenceParams(linear=np.ones((1, 3)), quadratic=np.zeros((1, 3))))
+    q = rng.dirichlet(np.full(3, 2.0), size=3).T
+    kernel = TransitionKernel(probabilities=q[:, :, None], bin_edges=[0.0, static.z_max])
+    return DynamicScenario(static=static, kernel=kernel, discount=0.5, horizon=20, rho0=rng.dirichlet(np.full(3, 3.0)))
+
+
 def runs(documents: list[tuple[str, Path]], scratch: Path):
     """(label, document, argv) of every run on the (name, document) pairs, then on the presets."""
     for name, doc in documents:
@@ -78,11 +95,16 @@ def runs(documents: list[tuple[str, Path]], scratch: Path):
             yield f"{sub}/{name}", doc, [sub]
         for mode in DYNAMIC_MODES:
             yield f"dynamic-{mode}/{name}", doc, ["dynamic", "--mode", mode]
-    for kernel, discount in PRESETS:
-        doc = scratch / f"{kernel}-{discount}.json"
-        doc.write_bytes(save_dynamic_scenario(dynamic_benchmark(kernel, discount=discount, num_bins=4)))
+    dynamic_documents = {
+        f"{kernel}-{discount}": dynamic_benchmark(kernel, discount=discount, num_bins=4)
+        for kernel, discount in PRESETS
+    }
+    dynamic_documents["generated-3-resource"] = several_resource_dynamic()
+    for name, dyn in dynamic_documents.items():
+        doc = scratch / f"{name}.json"
+        doc.write_bytes(save_dynamic_scenario(dyn))
         for mode in DYNAMIC_MODES:
-            yield f"dynamic-{mode}/{doc.stem}", doc, ["dynamic", "--mode", mode]
+            yield f"dynamic-{mode}/{name}", doc, ["dynamic", "--mode", mode]
 
 
 def main_digests(argv=None) -> int:

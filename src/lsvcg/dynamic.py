@@ -38,7 +38,7 @@ from .model import (
     scenario_to_dict,
     utility_value,
 )
-from .solver import SolverError, _clear_price, _clear_prices, clear_markets, solve_weighted
+from .solver import SolverError, _clear_market, _clear_price, _clear_prices, clear_markets
 
 __all__ = [
     "TransitionKernel",
@@ -110,12 +110,11 @@ class TransitionKernel:
             z = z[..., 0]
         edges = self.bin_edges
         tol = 1e-12 * max(1.0, abs(float(edges[-1])))
-        if np.any(z < edges[0] - tol) or np.any(z > edges[-1] + tol):
+        if z.size and (z.min() < edges[0] - tol or z.max() > edges[-1] + tol):
             raise ValidationError(
                 f"allocation outside the kernel's bin range [{edges[0]}, {edges[-1]}]"
             )
-        idx = np.searchsorted(edges, z, side="right") - 1
-        return np.clip(idx, 0, self.num_bins - 1)
+        return np.minimum(np.maximum(np.searchsorted(edges, z, side="right") - 1, 0), self.num_bins - 1)
 
 
 @dataclass(frozen=True)
@@ -285,11 +284,12 @@ def _value_table(dyn: DynamicScenario, allocations: np.ndarray, utilities: np.nd
     kernel = dyn.kernel
     types = np.arange(num_types)
     q = kernel.probabilities.reshape(num_types, num_types * kernel.num_bins)
+    bins = kernel.bin_of(allocations)  # (H, T)
     table = np.zeros((horizon + 1, num_types))
     continuation = np.empty((horizon, num_types, kernel.num_bins))
     for t in range(horizon - 1, -1, -1):
         continuation[t] = dyn.discount * (table[t + 1] @ q).reshape(num_types, kernel.num_bins)
-        table[t] = utilities[t] + continuation[t, types, kernel.bin_of(allocations[t][:, 0])]
+        table[t] = utilities[t] + continuation[t, types, bins[t]]
     return table, continuation
 
 
@@ -351,22 +351,24 @@ def plan_policy(dyn: DynamicScenario, mode: Literal["myopic", "fixed-point"] = "
 
     ``myopic`` solves the static program slot by slot (optimal whenever the
     kernel is allocation-independent, since the flow is then beyond the
-    planner's control).  With an allocation-dependent kernel the slot
-    mechanism, which prices each type's continuation, need not allocate what
-    the myopic plan did.  ``fixed-point`` starts from the myopic plan and
-    re-plans with the slot mechanism priced against the previous plan's
-    continuation (policy iteration), until the allocations repeat bit for
-    bit; every slot of the returned plan is then what the mechanism
-    allocates.  It raises :class:`SolverError` if the allocations still move
-    after ``MAX_PLAN_ITERATIONS`` mechanism rollouts.  A rollout whose
-    clearing does not depend on the slot clears each distinct market once.
+    planner's control), one market at a time with the scalar bisection
+    (:func:`~lsvcg.solver._clear_market`).  With an allocation-dependent
+    kernel the slot mechanism, which prices each type's continuation, need
+    not allocate what the myopic plan did.  ``fixed-point`` starts from the
+    myopic plan and re-plans with the slot mechanism priced against the
+    previous plan's continuation (policy iteration), until the allocations
+    repeat bit for bit; every slot of the returned plan is then what the
+    mechanism allocates.  It raises :class:`SolverError` if the allocations
+    still move after ``MAX_PLAN_ITERATIONS`` mechanism rollouts.  A rollout
+    whose clearing does not depend on the slot clears each distinct market
+    once.
     """
     if mode not in ("myopic", "fixed-point"):
         raise ValidationError(f"unknown planning mode {mode!r}")
 
     def myopic_slot(t, rho):
-        solution = solve_weighted(dyn.static, rho, dyn.static.capacities)
-        return solution.z, solution.p
+        p, z, _ = _clear_market(dyn.static, rho, dyn.static.capacities)
+        return z, p
 
     policy = _policy(dyn, mode, _cleared_once(myopic_slot))
     if mode == "myopic":
@@ -465,8 +467,8 @@ def _clear_slot(reports: np.ndarray, dyn: DynamicScenario, policy: Policy, t: in
     """
     caps = dyn.static.capacities
     if dyn.kernel.allocation_independent:
-        solution = solve_weighted(dyn.static, reports, caps)
-        return solution.z, solution.p
+        p, z, _ = _clear_market(dyn.static, reports, caps)
+        return z, p
     _check_single_resource(dyn)
     num_types = dyn.num_types
     cap = float(caps[0])

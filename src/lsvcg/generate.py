@@ -23,7 +23,6 @@ __all__ = [
     "random_scenario",
     "replicate_assignments",
     "scale_capacity",
-    "single_type_benchmark",
     "payment_gap_benchmark",
     "incentive_benchmark",
     "obedience_scenario",
@@ -125,19 +124,6 @@ def scale_capacity(scenario: Scenario, factor: float) -> Scenario:
     from dataclasses import replace
 
     return replace(scenario, capacities=scenario.capacities * factor)
-
-
-def single_type_benchmark() -> Scenario:
-    """One type, one resource, identity influence: z* = 1 at price 1/2."""
-    return Scenario(
-        type_space=TypeSpace(num_theta=1, num_zeta=1, num_resources=1),
-        utility=UtilityParams(weights=[[1.0]]),
-        influence=InfluenceParams(linear=[[1.0]], quadratic=[[0.0]]),
-        population=Population(shares=[1.0], num_agents=1),
-        capacities=[1.0],
-        beta=1.0,
-        z_max=50.0,
-    )
 
 
 def payment_gap_benchmark() -> Scenario:

@@ -10,9 +10,9 @@ with one allocation row per flattened type.  Utility and influence are both
 separable across resources, so the dual decouples: for each resource the
 aggregate demand at price p is monotone nonincreasing, and the market-clearing
 price is found by bisection to machine precision, for every (market, resource)
-pair of a batch at once (``clear_markets``).  Head-count instances are
-handled by rescaling capacities so that per-agent allocations coincide with
-the per-type rows.
+pair of a batch at once (``clear_markets``), or for one market in Python
+floats (``_clear_market``).  Head-count instances are handled by rescaling
+capacities so that per-agent allocations coincide with the per-type rows.
 
 Also provides the exact KKT residual, the implicit-function-theorem
 sensitivity of shadow prices to population shares, and the closed-form norm
@@ -21,6 +21,7 @@ bound on that sensitivity used by the incentive experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -185,15 +186,16 @@ def _demand(weights: np.ndarray, loads: np.ndarray) -> np.ndarray:
 def _clear_price(demand, capacity, hi: float, tolerance: float) -> tuple[float, int]:
     """Clearing price of a nonincreasing ``demand`` curve, and the bisection steps taken.
 
-    The scalar twin of :func:`_clear_prices`, kept for binned dynamic slots
-    cleared one at a time (a rollout, where each slot's market depends on the
-    last): on one binned market it runs about 5.6 times faster than the
-    array bisection, whose per-step NumPy overhead pays off only across many
-    lanes.  It is also the reference the batched slot clearing is tested
-    against.  Zero if ``demand(0)`` fits ``capacity``; otherwise the feasible
-    end of ``[0, hi]`` halved to machine precision or
-    ``MAX_BISECTION_STEPS``.  Raises ``SolverError`` if demand there misses
-    by more than ``tolerance * max(capacity, 1)``.
+    The scalar twin of :func:`_clear_prices`, for markets cleared one at a
+    time (a rollout, where each slot's market depends on the last): static
+    ones in :func:`_clear_market`, binned slots in ``dynamic._clear_slot``.
+    On one market it runs four to six times faster than the array
+    bisection, whose per-step overhead pays off only across many lanes.  It
+    is also the reference the batched clearings are tested against.  Zero
+    if ``demand(0)`` fits ``capacity``; otherwise the feasible end of
+    ``[0, hi]`` halved to machine precision or ``MAX_BISECTION_STEPS``.
+    Raises ``SolverError`` if demand there misses by more than
+    ``tolerance * max(capacity, 1)``.
     """
     if demand(0.0) <= capacity:
         return 0.0, 0
@@ -256,6 +258,68 @@ def _clear_prices(demand, at_zero: np.ndarray, capacity: np.ndarray, hi: np.ndar
     return np.where(free, 0.0, hi), steps
 
 
+def _checked_markets(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, np.ndarray]:
+    """``weights`` (K, R) and ``capacities`` (N,) as float arrays; a ``ValidationError`` if either is unusable."""
+    weights = np.ascontiguousarray(weights, dtype=float)
+    if (
+        weights.ndim != 2
+        or weights.shape[1] != scenario.type_space.num_types
+        or not np.all(np.isfinite(weights))
+        or np.any(weights < 0)
+        or np.any(weights.sum(axis=1) <= 0)
+    ):
+        raise ValidationError(
+            "weights must be finite and nonnegative with positive total, one per flattened type in each market"
+        )
+    caps = np.asarray(capacities, dtype=float)
+    if caps.shape != (scenario.type_space.num_resources,) or not np.all(np.isfinite(caps)) or np.any(caps <= 0):
+        raise ValidationError("capacities must be finite and strictly positive, one per resource")
+    return weights, caps
+
+
+def _response(w: float, a: float, b: float, p: float, z_max: float) -> float:
+    """:func:`_responder`'s best response on one lane at a price ``p > 0``, in Python floats."""
+    if b == 0.0:
+        z = w / (p * a) - 1.0
+    else:
+        A, B = p * (2.0 * b), p * (a + 2.0 * b)
+        z = (math.sqrt(B * B - 4.0 * A * min(p * a - w, 0.0)) - B) / (2.0 * A)
+    return min(max(z, 0.0), z_max)
+
+
+def _clear_market(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, np.ndarray, int]:
+    """Clear one market resource by resource: ``(p (N,), z (R, N), steps)``.
+
+    Bit for bit :func:`clear_markets` on ``weights[None]``, with its checks
+    and errors (a failure names its resource): best responses take the same
+    float operations in the same order (:func:`_response`), and demand is
+    one ``np.dot`` over a contiguous row, as in :func:`_demand`.  For
+    markets cleared one at a time, where arrays do not pay off.
+    """
+    rows, caps = _checked_markets(scenario, np.asarray(weights, dtype=float)[None], capacities)
+    tables = [t.T.tolist() for t in (scenario.type_weights(), scenario.type_linear(), scenario.type_quadratic())]
+    prices, allocations, steps, z_max = [], [], 0, scenario.z_max
+    for n, (cap, *lanes) in enumerate(zip(caps.tolist(), *tables)):
+        lanes = list(zip(*lanes))  # (w, a, b) of every type
+
+        def respond(p: float) -> list[float]:
+            if p <= 0.0:
+                return [z_max] * len(lanes)
+            return [_response(w, a, b, p, z_max) for w, a, b in lanes]
+
+        def demand(p: float) -> float:
+            return np.dot(rows[0], [a * z + b * z * z for (_, a, b), z in zip(lanes, respond(p))])
+
+        try:
+            price, lane_steps = _clear_price(demand, cap, max(w / a for w, a, _ in lanes), PRICE_TOLERANCE)
+        except SolverError as exc:
+            raise SolverError(f"resource {n} {exc}") from None
+        prices.append(price)
+        allocations.append(respond(price))
+        steps += lane_steps
+    return np.array(prices), np.array(allocations).T.copy(), steps
+
+
 def clear_markets(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clear K weighted markets that share the scenario and ``capacities``.
 
@@ -268,21 +332,7 @@ def clear_markets(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, 
     and the bisection steps of each market (K,).
     """
     num_types, num_resources = scenario.type_space.num_types, scenario.type_space.num_resources
-    weights = np.ascontiguousarray(weights, dtype=float)
-    if (
-        weights.ndim != 2
-        or weights.shape[1] != num_types
-        or not np.all(np.isfinite(weights))
-        or np.any(weights < 0)
-        or np.any(weights.sum(axis=1) <= 0)
-    ):
-        raise ValidationError(
-            "weights must be finite and nonnegative with positive total, one per flattened type in each market"
-        )
-    caps = np.asarray(capacities, dtype=float)
-    if caps.shape != (num_resources,) or not np.all(np.isfinite(caps)) or np.any(caps <= 0):
-        raise ValidationError("capacities must be finite and strictly positive, one per resource")
-
+    weights, caps = _checked_markets(scenario, weights, capacities)
     respond, load, hi = _responder(scenario)
     at_z_max = load(np.full((1, num_resources, num_types), scenario.z_max))
     num_markets = len(weights)

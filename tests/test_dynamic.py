@@ -435,6 +435,17 @@ def test_truthful_slot_is_priced_once(num_agents, monkeypatch):
     assert batches == [[t for t in range(dyn.horizon) for _ in range(per_slot)]]
 
 
+def test_gap_when_a_type_has_no_whole_agent_at_any_slot():
+    # at I = 2 type 1 of the mixing preset never holds a whole agent, so its
+    # misreports are priced at no slot and their allocations are empty
+    dyn = dynamic_benchmark(kernel="mixing", discount=0.5)
+    policy = plan_policy(dyn, "myopic")
+    assert np.all(policy.rho_path[:, 1] * 2 < 1.0)
+    rows = dynamic_incentive_gap(dyn, policy, 2)
+    assert len(rows) == dyn.horizon and all(set(row.per_type_gap) == {0} for row in rows)
+    assert dyn.kernel.bin_of(np.empty((0, 1))).shape == (0,)
+
+
 def _misreported_shares(rho_t: np.ndarray, num_agents: int):
     """Reported shares of every (type, misreport) market at one slot."""
     for theta, report in permutations(range(rho_t.size), 2):
@@ -449,14 +460,14 @@ def _misreported_shares(rho_t: np.ndarray, num_agents: int):
 @pytest.mark.parametrize("num_agents", [None, 10])
 def test_each_distinct_mixing_market_is_solved_once(num_agents, monkeypatch):
     dyn = dynamic_benchmark(kernel="mixing", discount=0.9)
-    solve = lsvcg.dynamic.solve_weighted
+    clear_market = lsvcg.dynamic._clear_market
     inputs = []
 
-    def counted(scenario, weights, capacities=None):
+    def counted(scenario, weights, capacities):
         inputs.append(np.asarray(weights, dtype=float).tobytes())
-        return solve(scenario, weights, capacities)
+        return clear_market(scenario, weights, capacities)
 
-    monkeypatch.setattr(lsvcg.dynamic, "solve_weighted", counted)
+    monkeypatch.setattr(lsvcg.dynamic, "_clear_market", counted)
     policy = plan_policy(dyn, "myopic")
     states = {rho.tobytes() for rho in policy.rho_path[:-1]}
     assert len(states) < dyn.horizon  # the flow reaches a bit-for-bit stationary state

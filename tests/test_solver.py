@@ -8,7 +8,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import lsvcg.solver
-from lsvcg.generate import random_scenario, rng_for, single_type_benchmark
+from lsvcg.generate import random_scenario, rng_for
 from lsvcg.model import (
     InfluenceParams,
     Population,
@@ -285,15 +285,16 @@ def _scalar_clearing(scenario, weights, capacities):
 
 
 VARIANTS = ("plain", "free", "at_z_max", "tiny_share", "zero_weight", "strided")
-
-
-@given(
+MARKETS = dict(
     seed=st.integers(0, 2**31 - 1),
     kind=st.sampled_from(("linear", "quadratic", "mixed")),
     variant=st.sampled_from(VARIANTS),
 )
-@settings(max_examples=120, deadline=None)
-def test_clear_markets_matches_the_scalar_bisection_bit_for_bit(seed, kind, variant):
+
+
+def _random_markets(seed, kind, variant):
+    """A random scenario with ``kind`` influence tables and a batch of markets shaped by
+    ``variant``: ``(scenario, weights (K, R), capacities, the resource made free or None)``."""
     rng = rng_for(seed, 9)
     scenario = random_scenario(
         rng,
@@ -332,7 +333,14 @@ def test_clear_markets_matches_the_scalar_bisection_bit_for_bit(seed, kind, vari
         )
         weights = np.asfortranarray(weights) if rng.random() < 0.5 else np.repeat(weights, 2, axis=1)[:, ::2]
         caps = np.repeat(caps, 2)[::2]
+    return scenario, weights, caps, n if variant == "free" else None
 
+
+@given(**MARKETS)
+@settings(max_examples=120, deadline=None)
+def test_clear_markets_matches_the_scalar_bisection_bit_for_bit(seed, kind, variant):
+    scenario, weights, caps, free = _random_markets(seed, kind, variant)
+    num_types, num_resources = scenario.type_space.num_types, scenario.type_space.num_resources
     prices, allocations, steps = clear_markets(scenario, weights, caps)
     assert prices.shape == (len(weights), num_resources)
     assert allocations.shape == (len(weights), num_types, num_resources)
@@ -341,8 +349,45 @@ def test_clear_markets_matches_the_scalar_bisection_bit_for_bit(seed, kind, vari
         assert prices[k].tobytes() == p.tobytes()
         assert allocations[k].tobytes() == z.tobytes()
         assert steps[k] == s
-    if variant == "free":
-        assert np.all(prices[:, n] == 0.0)
+    if free is not None:
+        assert np.all(prices[:, free] == 0.0)
+
+
+@given(**MARKETS)
+@settings(max_examples=120, deadline=None)
+def test_clear_market_is_clear_markets_bit_for_bit(seed, kind, variant):
+    scenario, weights, caps, free = _random_markets(seed, kind, variant)
+    prices, allocations, steps = clear_markets(scenario, weights, caps)
+    for k, market in enumerate(weights):
+        p, z, s = lsvcg.solver._clear_market(scenario, market, caps)
+        assert p.tobytes() == prices[k].tobytes() and z.tobytes() == allocations[k].tobytes()
+        # payments p . z round alike only if z is laid out alike
+        assert z.flags.c_contiguous and (z @ p).tobytes() == (allocations[k] @ prices[k]).tobytes()
+        assert s == steps[k]
+    if free is not None:
+        assert np.all(allocations[:, :, free] == scenario.z_max)
+
+
+def test_clear_market_raises_what_clear_markets_raises(bench_gap, rng, monkeypatch):
+    shares, caps = bench_gap.population.shares, bench_gap.capacities
+    bad_weights = [np.array([np.nan, 1.0]), np.array([-0.5, 1.0]), np.zeros(2), np.ones(3), np.ones((1, 2))]
+    bad_caps = [np.ones(2), np.array([np.inf]), np.array([0.0])]
+    for weights, capacities in [(w, caps) for w in bad_weights] + [(shares, c) for c in bad_caps]:
+        with pytest.raises(ValidationError) as scalar:
+            lsvcg.solver._clear_market(bench_gap, weights, capacities)
+        with pytest.raises(ValidationError) as batch:
+            clear_markets(bench_gap, weights[None], capacities)
+        assert str(scalar.value) == str(batch.value)
+    # resource 0 clears at price zero; resource 1 cannot clear in three halvings
+    scenario = random_scenario(rng, num_theta=2, num_zeta=1, num_resources=2, num_agents=None, quadratic=True)
+    caps = scenario.capacities * np.array([1e6, 1.0])
+    monkeypatch.setattr(lsvcg.solver, "MAX_BISECTION_STEPS", 3)
+    with pytest.raises(SolverError, match="^resource 1 failed to clear") as scalar:
+        lsvcg.solver._clear_market(scenario, scenario.population.shares, caps)
+    with pytest.raises(SolverError, match="^market 0, resource 1 failed to clear") as batch:
+        clear_markets(scenario, scenario.population.shares[None], caps)
+    assert "3 bisection steps" in str(scalar.value)
+    assert str(scalar.value).split("failed to clear")[1] == str(batch.value).split("failed to clear")[1]
 
 
 def test_solve_weighted_is_the_single_market_case(rng):

@@ -3,7 +3,8 @@ import inspect
 import numpy as np
 import pytest
 
-from lsvcg.generate import obedience_scenario, rng_for, scale_capacity, single_type_benchmark
+from conftest import single_type_benchmark
+from lsvcg.generate import obedience_scenario, rng_for, scale_capacity
 from lsvcg.mechanisms import large_scale_vcg
 from lsvcg.model import Population, Profile, ValidationError
 from lsvcg.superimpose import (
