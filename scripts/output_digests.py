@@ -8,8 +8,13 @@ agents), ``dynamic`` in both planning modes (``myopic`` and ``fixed-point``),
 ``dynamic`` on the ``mixing``, ``allocation`` and ``switching`` presets at
 discounts 0.5 and 0.9, and ``dynamic`` on a generated document with 3 types,
 3 resources, 40 agents and an allocation-independent kernel (the only
-digested rollout that clears more than one resource).  Each run writes to a
-fresh temporary directory.
+digested rollout that clears more than one resource), and ``incentive-sweep``
+with ``--i-list 20,40,80,160,320,640`` on a generated per-capita quadratic
+document with 8 types (one a scaled twin of another, so some gaps are
+positive), 8 resources and 20 agents (the only digested sweep that exits 0
+with more than two resources; the generated documents above exit 2 on the
+default list, whose head counts make their shares non-integral).  Each run
+writes to a fresh temporary directory.
 Prints one ``sha256  run/file`` line per output file and one ``exit N  run``
 line per run, where ``run`` is ``subcommand/scenario``: ``scenario`` is the
 file stem of a default document and the path, as given, of a document named
@@ -41,11 +46,12 @@ import numpy as np
 from lsvcg.cli import main
 from lsvcg.dynamic import DynamicScenario, TransitionKernel, save_dynamic_scenario
 from lsvcg.generate import dynamic_benchmark, random_scenario, rng_for, scale_capacity
-from lsvcg.model import InfluenceParams, save_scenario
+from lsvcg.model import InfluenceParams, UtilityParams, save_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 STATIC_SUBCOMMANDS = ("solve", "vcg", "lsvcg", "incentive-sweep", "sensitivity", "superimpose")
 DYNAMIC_MODES = ("myopic", "fixed-point")
+SWEEP_I_LIST = "20,40,80,160,320,640"
 PRESETS = [(kernel, discount) for kernel in ("mixing", "allocation", "switching") for discount in (0.5, 0.9)]
 
 
@@ -88,8 +94,29 @@ def several_resource_dynamic() -> DynamicScenario:
     return DynamicScenario(static=static, kernel=kernel, discount=0.5, horizon=20, rho0=rng.dirichlet(np.full(3, 3.0)))
 
 
+def per_capita_sweep(scratch: Path) -> Path:
+    """4 x 2 types over 8 quadratic resources with 20 agents; capacities stay per capita,
+    as the sweep reads them.  Type (1, 1) is a 0.8-scaled twin of type (0, 0), as in
+    ``generate.incentive_benchmark``, so impersonating it pays: with distinct types
+    every gap is floored at zero and the payoffs would show only through the
+    best-misreport columns."""
+    scenario = random_scenario(rng_for(0, 5), num_theta=4, num_zeta=2, num_resources=8, num_agents=20, quadratic=True)
+    weights, linear, quadratic = (
+        x.copy() for x in (scenario.utility.weights, scenario.influence.linear, scenario.influence.quadratic)
+    )
+    for table in (weights, linear, quadratic):
+        table[1] = 0.8 * table[0]
+    scenario = replace(
+        scenario, utility=UtilityParams(weights), influence=InfluenceParams(linear=linear, quadratic=quadratic)
+    )
+    doc = scratch / "generated-per-capita.json"
+    doc.write_bytes(save_scenario(scenario))
+    return doc
+
+
 def runs(documents: list[tuple[str, Path]], scratch: Path):
-    """(label, document, argv) of every run on the (name, document) pairs, then on the presets."""
+    """(label, document, argv) of every run on the (name, document) pairs, then on the
+    presets, then the per-capita sweep."""
     for name, doc in documents:
         for sub in STATIC_SUBCOMMANDS:
             yield f"{sub}/{name}", doc, [sub]
@@ -105,6 +132,8 @@ def runs(documents: list[tuple[str, Path]], scratch: Path):
         doc.write_bytes(save_dynamic_scenario(dyn))
         for mode in DYNAMIC_MODES:
             yield f"dynamic-{mode}/{name}", doc, ["dynamic", "--mode", mode]
+    sweep_argv = ["incentive-sweep", "--i-list", SWEEP_I_LIST]
+    yield "incentive-sweep/generated-per-capita", per_capita_sweep(scratch), sweep_argv
 
 
 def main_digests(argv=None) -> int:

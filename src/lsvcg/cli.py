@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .dynamic import dynamic_incentive_gap, load_dynamic_scenario, plan_policy
-from .incentives import gain_within_bound, incentive_gap, sweep_from_reports
+from .incentives import gain_within_bound, verify_incentive_bound
 from .mechanisms import Outcome, budget_audit, large_scale_vcg, outcome_cell_rows, vcg_exact
 from .model import Profile, ValidationError, load_scenario
 from .solver import (
@@ -205,9 +204,7 @@ def cmd_incentive_sweep(args, manifest: RunManifest, out: Path) -> None:
     i_list = _parse_i_list(args.i_list)
     if args.workers is not None and args.workers < 1:
         raise ValidationError(f"--workers must be positive, got {args.workers}")
-    rho = scenario.population
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        sweep = sweep_from_reports(list(pool.map(lambda n: incentive_gap(scenario, rho, n), i_list)))
+    sweep = verify_incentive_bound(scenario, scenario.population, i_list)
     header = ["I", "theta", "zeta", "best_misreport_theta", "best_misreport_zeta", "gap", "bound", "holds", "slope"]
     rows = [
         _line(
@@ -307,7 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 default="10,20,40,80,160,320,640,1280",
                 help="comma-separated head counts of the sweep",
             )
-            p.add_argument("--workers", type=int, default=None, help="worker pool size for the sweep")
+            p.add_argument(
+                "--workers", type=int, default=None, help="accepted for compatibility (positive); has no effect"
+            )
     return parser
 
 

@@ -25,14 +25,12 @@ incentive-rate experiment script.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import shadow_price_outcome
-from .model import Population, Profile, Scenario, ValidationError
-from .solver import _slack, clear_markets
+from .model import Population, Scenario, ValidationError, utility_value
+from .solver import _BATCH_ELEMENTS, clear_markets
 
 __all__ = [
     "IncentiveReport",
@@ -116,96 +114,94 @@ def incentive_gap(
     other agents' reports (integer counts summing to ``num_agents - 1``);
     by default opponents report truthfully, and the truthful market is
     solved once.  All the markets of a call are cleared together by
-    :func:`~lsvcg.solver.clear_markets`.
+    :func:`~lsvcg.solver.clear_markets`, and every payoff is priced from
+    arrays (:func:`_incentive_reports`, shared with :func:`verify_incentive_bound`).
     """
-    ts = scenario.type_space
-    num_types = ts.num_types
+    return _incentive_reports(scenario, base_rho, [num_agents], opponent_counts)[0]
 
-    # Every (truth, report) pair is priced on one of the markets in `reported`.
-    market_of = np.zeros((num_types, num_types), dtype=int)
+
+def _reported_shares(base_rho: Population, num_agents: int | None, opponent_counts: np.ndarray | None) -> np.ndarray:
+    """Reported shares (M, R) of every market one head count needs: ``base_rho``
+    frozen, the truthful market then the R(R-1) one-agent deviations in
+    row-major (truth, report) order, or the R markets of a deviator joining
+    fixed opponents."""
     if num_agents is None:
         if opponent_counts is not None:
             raise ValidationError("opponent_counts needs a finite num_agents")
-        reported, bound = [base_rho.shares], 0.0
-    else:
-        counts = base_rho.shares * num_agents
-        if np.any(np.abs(counts - np.round(counts)) > 1e-9):
-            raise ValidationError("num_agents times every base share must be integral (replicated population)")
-        counts = np.round(counts).astype(int)
-        if opponent_counts is not None:
-            opponent_counts = np.asarray(opponent_counts)
-            if opponent_counts.shape != (num_types,) or np.any(opponent_counts < 0):
-                raise ValidationError("opponent_counts must be nonnegative, one per flattened type")
-            if int(opponent_counts.sum()) != num_agents - 1:
-                raise ValidationError("opponent_counts must sum to num_agents - 1")
-        if opponent_counts is None:
-            # a truthful report leaves the truthful market, row 0
-            reported_counts = [counts]
-            for truth_idx in range(num_types):
-                for report_idx in range(num_types):
-                    if report_idx != truth_idx:
-                        dev = counts.copy()
-                        dev[truth_idx] -= 1
-                        dev[report_idx] += 1
-                        market_of[truth_idx, report_idx] = len(reported_counts)
-                        reported_counts.append(dev)
-        else:
-            # the deviator joins fixed opponents, so its market depends on its report alone
-            reported_counts = list(opponent_counts + np.eye(num_types, dtype=int))
-            market_of[:] = np.arange(num_types)
-        reported = [dev / num_agents for dev in reported_counts]
-        bound = misreport_gain_bound(scenario, base_rho, num_agents)
-    weights = np.array(reported)
-    prices, allocations, _ = clear_markets(scenario, weights, scenario.capacities)
-
-    def payoff(truth_idx: int, report_idx: int) -> float:
-        """Per-head payoff of a ``truth_idx`` agent announcing ``report_idx``.
-
-        Prices come from the per-capita program at the scenario capacities,
-        frozen or re-solved with the deviator's report counted; the agent is
-        charged as a mean-field probe, so it receives the rebate ``beta * C_n``.
-        """
-        m = market_of[truth_idx, report_idx]
-        z = allocations[m]
-        probe = np.zeros((num_types, num_types), dtype=int)
-        probe[truth_idx, report_idx] = 1
-        outcome = shadow_price_outcome(
-            Profile(ts, probe),
-            scenario,
-            z,
-            prices[m],
-            _slack(scenario, weights[m], z, scenario.capacities),
-            mean_field=True,
+        return base_rho.shares[None, :]
+    if not (num_agents >= 1 and float(num_agents).is_integer()):
+        raise ValidationError(f"head counts must be positive integers, got {num_agents}")
+    counts = base_rho.shares * num_agents
+    if np.any(np.abs(counts - np.round(counts)) > 1e-9):
+        raise ValidationError(
+            f"num_agents times every base share must be integral (replicated population), got {num_agents}"
         )
-        return float(outcome.cell_payoffs[0])
+    num_types = len(counts)
+    eye = np.eye(num_types, dtype=int)
+    if opponent_counts is None:
+        truth, report = np.nonzero(~eye.astype(bool))
+        reported_counts = np.round(counts).astype(int)
+        reported_counts = np.vstack([reported_counts, reported_counts - eye[truth] + eye[report]])
+    else:
+        opponent_counts = np.asarray(opponent_counts)
+        if opponent_counts.shape != (num_types,) or np.any(opponent_counts < 0):
+            raise ValidationError("opponent_counts must be nonnegative, one per flattened type")
+        if int(opponent_counts.sum()) != num_agents - 1:
+            raise ValidationError("opponent_counts must sum to num_agents - 1")
+        reported_counts = opponent_counts + eye
+    return reported_counts / num_agents
 
-    per_type_gap: dict[tuple[int, int], float] = {}
-    best_misreport: dict[tuple[int, int], tuple[int, int] | None] = {}
-    for r in range(num_types):
-        true_type = ts.unflatten(r)
-        truthful = payoff(r, r)
-        best_gain = -math.inf
-        best = None
-        for r_alt in range(num_types):
-            if r_alt == r:
-                continue
-            gain = payoff(r, r_alt) - truthful
-            if gain > best_gain:
-                best_gain, best = gain, ts.unflatten(r_alt)
-        if best is None:  # single-type space: no alternative report exists
-            per_type_gap[true_type] = 0.0
-            best_misreport[true_type] = None
-        else:
-            per_type_gap[true_type] = max(0.0, best_gain)
-            best_misreport[true_type] = best
 
-    return IncentiveReport(
-        per_type_gap=per_type_gap,
-        best_misreport=best_misreport,
-        max_gap=max(per_type_gap.values()),
-        epsilon_bound=bound,
-        num_agents=num_agents,
-    )
+def _incentive_reports(
+    scenario: Scenario, base_rho: Population, head_counts: list, opponent_counts: np.ndarray | None = None
+) -> list[IncentiveReport]:
+    """One :class:`IncentiveReport` per entry of ``head_counts``, as :func:`incentive_gap` defines it.
+
+    Every head count is checked before any market is cleared.  The markets of
+    whole head counts go to :func:`~lsvcg.solver.clear_markets` together, up
+    to ``max(one head count's markets, _BATCH_ELEMENTS // (R * N))`` per call.
+    The deviator of true type ``t`` announcing ``r`` receives row ``r`` of its
+    market's allocation, loads it with its true zeta and pays
+    ``p . (f_true(z) - beta C)`` as a mean-field probe, one stacked dot per
+    payoff as :func:`~lsvcg.mechanisms.shadow_price_outcome` charges it.  Ties
+    between misreports go to the lowest report index.
+    """
+    ts = scenario.type_space
+    num_types = ts.num_types
+    types = [ts.unflatten(r) for r in range(num_types)]
+    markets = [_reported_shares(base_rho, n, opponent_counts) for n in head_counts]
+    head_counts = [None if n is None else int(n) for n in head_counts]
+    bounds = [0.0 if n is None else misreport_gain_bound(scenario, base_rho, n) for n in head_counts]
+
+    true_idx, report_idx = np.arange(num_types)[:, None], np.arange(num_types)
+    # market_of[t, r]: the market, within its head count's block, that prices
+    # a true type t announcing r
+    per_count = len(markets[0]) if markets else 1
+    market_of = np.zeros((num_types, num_types), dtype=int)
+    if opponent_counts is not None:
+        market_of[:] = report_idx
+    elif per_count > 1:
+        market_of[true_idx != report_idx] = np.arange(1, per_count)
+    true_zeta, true_theta = true_idx % ts.num_zeta, true_idx // ts.num_zeta
+    rebate = scenario.beta * scenario.capacities
+    per_call = max(per_count, _BATCH_ELEMENTS // (num_types * ts.num_resources)) // per_count
+
+    reports = []
+    for start in range(0, len(head_counts), per_call):
+        group = slice(start, start + per_call)
+        prices, allocations, _ = clear_markets(scenario, np.vstack(markets[group]), scenario.capacities)
+        market = np.arange(0, len(prices), per_count)[:, None, None] + market_of  # (head count, truth, report)
+        z = allocations[market, report_idx]
+        load = scenario.influence.load(true_zeta, z)
+        payments = ((load - rebate)[..., None, :] @ prices[market][..., :, None])[..., 0, 0]
+        payoffs = utility_value(scenario.utility, true_theta, z) - payments
+        gains = payoffs - np.diagonal(payoffs, axis1=1, axis2=2)[..., None]
+        gains[:, report_idx, report_idx] = -np.inf  # the truth is no misreport; a lone type has none
+        for num_agents, bound, gain, best in zip(head_counts[group], bounds[group], gains, np.argmax(gains, axis=2)):
+            per_type_gap = {types[t]: max(0.0, float(gain[t, r])) for t, r in enumerate(best)}
+            best_misreport = {types[t]: types[r] if num_types > 1 else None for t, r in enumerate(best)}
+            reports.append(IncentiveReport(per_type_gap, best_misreport, max(per_type_gap.values()), bound, num_agents))
+    return reports
 
 
 def loglog_slope(x, y) -> float:
@@ -252,5 +248,10 @@ def sweep_from_reports(reports: list[IncentiveReport]) -> IncentiveSweep:
 
 
 def verify_incentive_bound(scenario: Scenario, rho: Population, i_list) -> IncentiveSweep:
-    """Measure per-head gaps across a replication sweep and compare with the ceiling."""
-    return sweep_from_reports([incentive_gap(scenario, rho, int(n)) for n in i_list])
+    """Measure per-head gaps across a replication sweep and compare with the ceiling.
+
+    Each entry of ``i_list`` gives the report :func:`incentive_gap` gives at
+    that head count, from one shared kernel that clears the markets of
+    several head counts in each :func:`~lsvcg.solver.clear_markets` call.
+    """
+    return sweep_from_reports(_incentive_reports(scenario, rho, list(i_list)))

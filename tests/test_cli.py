@@ -207,6 +207,24 @@ def test_incentive_sweep_rejects_nonpositive_counts(incentive_file, tmp_path, ca
     assert message in capsys.readouterr().err
 
 
+def test_incentive_sweep_names_a_non_integral_head_count(tmp_path, capsys):
+    argv = ["--scenario", str(SCENARIOS / "incentive.json"), "--out", str(tmp_path / "o"), "--i-list", "10,15"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic
+        assert _run("incentive-sweep", *argv) == 2
+    assert "integral (replicated population), got 15" in capsys.readouterr().err
+
+
+def test_incentive_sweep_workers_has_no_effect(incentive_file, tmp_path):
+    tables = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        argv = ["--scenario", str(incentive_file), "--out", str(out), "--i-list", "10,20,40", "--workers", workers]
+        assert _run("incentive-sweep", *argv) == 0
+        tables.append((out / "sweep.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_solver_failure_exits_3(scenario_file, tmp_path, monkeypatch):
     import lsvcg.cli as cli
     from lsvcg.solver import SolverError

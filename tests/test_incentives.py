@@ -1,3 +1,7 @@
+import math
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +13,9 @@ from lsvcg.incentives import (
     misreport_gain_bound,
     verify_incentive_bound,
 )
-from lsvcg.mechanisms import large_scale_vcg
+from lsvcg.mechanisms import large_scale_vcg, shadow_price_outcome
 from lsvcg.model import InfluenceParams, Population, Profile, Scenario, TypeSpace, UtilityParams, ValidationError
+from lsvcg.solver import clear_markets
 
 
 def test_bound_formula_value():
@@ -137,6 +142,29 @@ def test_non_integral_population_rejected(bench_incentive):
         incentive_gap(bench_incentive, bench_incentive.population, 7)
 
 
+def test_empty_sweep_has_no_rows(bench_incentive):
+    sweep = verify_incentive_bound(bench_incentive, bench_incentive.population, [])
+    assert sweep.rows == [] and sweep.reports == [] and np.isnan(sweep.slope)
+
+
+def test_non_integral_head_count_is_named(bench_incentive):
+    with pytest.raises(ValidationError, match="integral.*got 15"):
+        verify_incentive_bound(bench_incentive, bench_incentive.population, [10, 15, 20])
+
+
+@pytest.mark.parametrize("num_agents", [0, -10, 10.5, float("nan"), float("inf")])
+def test_bad_head_count_rejected_before_any_arithmetic(bench_incentive, num_agents):
+    # 10.5 was once truncated to 10 and measured there
+    rho = bench_incentive.population
+    message = f"head counts must be positive integers, got {num_agents}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            incentive_gap(bench_incentive, rho, num_agents)
+        with pytest.raises(ValidationError, match=message):
+            verify_incentive_bound(bench_incentive, rho, [10, num_agents])
+
+
 def test_deviation_bookkeeping_restores_counts_and_prices(bench_incentive):
     # moving one agent out and back must leave shares and prices bit-identical
     from lsvcg.solver import solve_weighted
@@ -219,3 +247,120 @@ def test_loglog_slope_helper():
     assert np.isnan(loglog_slope([10, 10], [0.2, 0.1]))
     assert np.isnan(loglog_slope([10, 10, 20], [0.2, 0.1, 0.0]))
     assert loglog_slope([10, 10, 20], [0.2, 0.2, 0.1]) == pytest.approx(-1.0, abs=1e-12)
+
+
+def _reference_report(scenario, rho, num_agents, opponent_counts=None):
+    """The per-pair path: every (truth, report) market cleared on its own
+    reported shares and the deviator charged through ``shadow_price_outcome``
+    as a mean-field probe; ties go to the lowest report index."""
+    ts = scenario.type_space
+    num_types = ts.num_types
+    eye = np.eye(num_types, dtype=int)
+
+    def shares(truth, report):
+        if num_agents is None:
+            return rho.shares
+        if opponent_counts is not None:
+            return (opponent_counts + eye[report]) / num_agents
+        counts = np.round(rho.shares * num_agents).astype(int)
+        return (counts - eye[truth] + eye[report]) / num_agents
+
+    def payoff(truth, report):
+        prices, allocations, _ = clear_markets(scenario, shares(truth, report)[None], scenario.capacities)
+        probe = np.zeros((num_types, num_types), dtype=int)
+        probe[truth, report] = 1
+        outcome = shadow_price_outcome(
+            Profile(ts, probe), scenario, allocations[0], prices[0], np.zeros(ts.num_resources), mean_field=True
+        )
+        return float(outcome.cell_payoffs[0])
+
+    per_type_gap, best_misreport = {}, {}
+    for truth in range(num_types):
+        truthful = payoff(truth, truth)
+        best_gain, best = -math.inf, None
+        for report in range(num_types):
+            if report != truth:
+                gain = payoff(truth, report) - truthful
+                if gain > best_gain:
+                    best_gain, best = gain, ts.unflatten(report)
+        per_type_gap[ts.unflatten(truth)] = 0.0 if best is None else max(0.0, best_gain)
+        best_misreport[ts.unflatten(truth)] = best
+    bound = 0.0 if num_agents is None else misreport_gain_bound(scenario, rho, num_agents)
+    return per_type_gap, best_misreport, bound
+
+
+def _assert_matches_reference(report, scenario, rho, num_agents, opponent_counts=None):
+    per_type_gap, best_misreport, bound = _reference_report(scenario, rho, num_agents, opponent_counts)
+    assert report.num_agents == num_agents
+    assert report.per_type_gap == per_type_gap
+    assert report.best_misreport == best_misreport
+    assert report.epsilon_bound == bound
+    assert report.max_gap == max(per_type_gap.values())
+
+
+def _eight_resource_scenario():
+    return random_scenario(rng_for(0, 5), num_theta=4, num_zeta=2, num_resources=8, num_agents=20, quadratic=True)
+
+
+def _eight_resource_twin():
+    """The eight-resource scenario with type (1, 1) a 0.8-scaled twin of type
+    (0, 0), as in ``incentive_benchmark``: impersonating it pays a positive gain,
+    so the gaps are not all floored at zero."""
+    scenario = _eight_resource_scenario()
+    weights, linear, quadratic = (
+        x.copy() for x in (scenario.utility.weights, scenario.influence.linear, scenario.influence.quadratic)
+    )
+    for table in (weights, linear, quadratic):
+        table[1] = 0.8 * table[0]
+    return replace(
+        scenario, utility=UtilityParams(weights), influence=InfluenceParams(linear=linear, quadratic=quadratic)
+    )
+
+
+@pytest.mark.parametrize(
+    ("make", "sizes"),
+    [
+        (incentive_benchmark, [10, 40, 160, 640]),
+        (_eight_resource_scenario, [20, 40, 160, 640]),
+        (_eight_resource_twin, [20, 40, 160, 640]),
+    ],
+    ids=["incentive-benchmark", "eight-resource-quadratic", "eight-resource-twin"],
+)
+def test_sweep_matches_the_per_pair_reference_bit_for_bit(make, sizes):
+    scenario = make()
+    rho = scenario.population
+    sweep = verify_incentive_bound(scenario, rho, sizes)
+    for num_agents, report in zip(sizes, sweep.reports):
+        _assert_matches_reference(report, scenario, rho, num_agents)
+    frozen = incentive_gap(scenario, rho, None)
+    _assert_matches_reference(frozen, scenario, rho, None)
+
+
+def test_fixed_opponents_match_the_per_pair_reference_bit_for_bit():
+    scenario = _eight_resource_scenario()
+    rho = scenario.population
+    rng = rng_for(7, 2)
+    for num_agents in (20, 80):
+        opponents = rng.multinomial(num_agents - 1, rho.shares)
+        report = incentive_gap(scenario, rho, num_agents, opponent_counts=opponents)
+        _assert_matches_reference(report, scenario, rho, num_agents, opponents)
+
+
+def test_grouping_head_counts_does_not_change_reports(monkeypatch):
+    # 16 types x 8 resources: a head count needs 241 markets and a call takes
+    # 512, so a three-count sweep is cleared in two calls
+    import lsvcg.incentives
+
+    scenario = random_scenario(rng_for(7, 3), num_theta=8, num_zeta=2, num_resources=8, num_agents=32, quadratic=True)
+    rho = scenario.population
+    sizes = [32, 64, 128]
+    batches = []
+
+    def counted(scenario, weights, capacities):
+        batches.append(len(weights))
+        return clear_markets(scenario, weights, capacities)
+
+    monkeypatch.setattr(lsvcg.incentives, "clear_markets", counted)
+    sweep = verify_incentive_bound(scenario, rho, sizes)
+    assert batches == [2 * 241, 241]
+    assert sweep.reports == [incentive_gap(scenario, rho, n) for n in sizes]
