@@ -14,6 +14,26 @@ pair of a batch at once (``clear_markets``), or for one market in Python
 floats (``_clear_market``).  Head-count instances are handled by rescaling
 capacities so that per-agent allocations coincide with the per-type rows.
 
+Static clearings replay this bisection inside a proven bracket ``(low,
+high)``: computed demand exceeds ``C + m`` at ``low`` and falls short of
+``C - m`` at ``high``, where the margin ``m`` bounds twice the rounding error
+of computed demand.  Exact demand is nonincreasing, so every midpoint below
+``low`` computes "over capacity" and every one above ``high`` does not:
+those steps go by position, and demand is evaluated only inside the
+bracket.  The steps, and so prices, allocations, step counts and errors,
+are the plain bisection's bit for bit; a loose bracket only costs
+evaluations.  Per lane,
+
+    m = 16 u ((R + 2) max(C, 1) + sum_r rho_r (a_r + 2 b_r z_max) (a_r + 2 b_r) / (2 b_r)),
+
+``u = 2**-53``, with ``a_r`` as the summand where ``b_r = 0``: the relative
+rounding of the loads and of their sum over ``R`` types, and the
+cancellation in ``(sqrt(B^2 - 4 A C) - B) / (2 A)``, about
+``u (a + 2 b) / (2 b)`` of allocation, times the steepest load slope.
+Safeguarded Newton steps on log demand against log price (Low and Lapsley
+1999) find the brackets; binned dynamic slots, whose demand jumps, bisect
+without one.
+
 Also provides the exact KKT residual, the implicit-function-theorem
 sensitivity of shadow prices to population shares, and the closed-form norm
 bound on that sensitivity used by the incentive experiments.
@@ -61,6 +81,10 @@ MAX_BISECTION_STEPS = 200
 # Array elements (markets x types x resources) that clear_markets bisects
 # at once: each of its temporaries stays near half a megabyte.
 _BATCH_ELEMENTS = 1 << 16
+# Newton steps a static clearing takes toward its bracket, at most.
+_NEWTON_STEPS = 8
+# Sixteen unit roundoffs: the factor of a bracket's margin (module docstring).
+_ROUNDING = 16 * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -111,15 +135,15 @@ def best_response(theta: int, zeta: int, p, scenario: Scenario) -> np.ndarray:
 def _responder(scenario: Scenario):
     """Closed-form best responses on (market, resource) lanes.
 
-    Returns ``respond``, ``load`` and ``hi``.  ``respond(p)`` maps positive
-    prices ``p`` (K, N) to the maximizers ``z`` (K, N, R) of
-    ``w log(1+z) - p (a z + b z^2)`` on ``[0, z_max]``.  Stationarity
-    ``w/(1+z) = p (a + 2 b z)`` is linear in ``z`` where ``b = 0`` and a
-    quadratic otherwise, solved for its positive root; a type takes zero
-    where ``w <= p a``.  ``load(z)`` is every type's load ``a z + b z^2``,
-    and ``hi`` (N,) the price ``max_r w/a`` above which no type demands
-    anything.  The type tables are laid out (N, R) with C-contiguous rows,
-    so demand sums over types are 1-D dots.
+    Returns ``respond``, ``load``, ``hi`` and the tables ``(w, a, b)``.
+    ``respond(p)`` maps positive prices ``p`` (K, N) to the maximizers ``z``
+    (K, N, R) of ``w log(1+z) - p (a z + b z^2)`` on ``[0, z_max]``.
+    Stationarity ``w/(1+z) = p (a + 2 b z)`` is linear in ``z`` where
+    ``b = 0`` and a quadratic otherwise, solved for its positive root; a
+    type takes zero where ``w <= p a``.  ``load(z)`` is every type's load
+    ``a z + b z^2``, and ``hi`` (N,) the price ``max_r w/a`` above which no
+    type demands anything.  The type tables are laid out (N, R) with
+    C-contiguous rows, so demand sums over types are 1-D dots.
     """
     w = np.ascontiguousarray(scenario.type_weights().T)
     a = np.ascontiguousarray(scenario.type_linear().T)
@@ -136,23 +160,53 @@ def _responder(scenario: Scenario):
         p = p[..., None]
         pa = p * a
         if all_linear:
-            z = w / pa - 1.0
+            z = w / pa
+            z -= 1.0
         else:
+            # (sqrt(B^2 - 4 A C) - B) / (2 A) with A = 2 b p, B = (a + 2 b) p
+            # and C = p a - w, in place.  Where w <= p a the clamp makes the
+            # root exactly zero; elsewhere it changes nothing.
             A = p * two_b
             B = p * a_2b
-            # Where w <= p a the clamp makes the root exactly zero; elsewhere
-            # it changes nothing.
-            C = np.minimum(pa - w, 0.0)
-            z = (np.sqrt(B * B - 4.0 * A * C) - B) / (2.0 * A)
+            C = pa - w
+            np.minimum(C, 0.0, out=C)
+            C *= 4.0 * A
+            z = B * B
+            z -= C
+            del C
+            np.sqrt(z, out=z)
+            z -= B
+            A *= 2.0
+            z /= A
             if any_linear:
                 z = np.where(linear, w / pa - 1.0, z)
         # Where w > p a the root is nonnegative; elsewhere it is not positive.
-        return np.minimum(np.maximum(z, 0.0), z_max)
+        np.maximum(z, 0.0, out=z)
+        return np.minimum(z, z_max, out=z)
 
     def load(z: np.ndarray) -> np.ndarray:
         return a * z if all_linear else a * z + b * z * z
 
-    return respond, load, np.max(w / a, axis=1)
+    return respond, load, np.max(w / a, axis=1), (w, a, b)
+
+
+def _elasticities(z: np.ndarray, a: np.ndarray, b: np.ndarray, z_max: float) -> np.ndarray:
+    """Every type's share ``f'^2 (1 + z) / (f' + 2 b (1 + z))`` of ``-p dD/dp`` at its best
+    responses ``z`` (K, N, R), ``f' = a + 2 b z``, by stationarity ``w / (1 + z) = p f'``;
+    zero where ``z`` is clamped.  Overwrites ``z``."""
+    interior = (z > 0.0) & (z < z_max)
+    slope = z * b
+    slope *= 2.0
+    slope += a
+    z += 1.0
+    curvature = z * b
+    curvature *= 2.0
+    curvature += slope
+    slope *= slope
+    slope *= z
+    slope /= curvature
+    slope *= interior
+    return slope
 
 
 def _allocations(respond, p: np.ndarray, z_max: float) -> np.ndarray:
@@ -183,7 +237,7 @@ def _demand(weights: np.ndarray, loads: np.ndarray) -> np.ndarray:
     return (loads[:, :, None, :] @ weights[:, None, :, None])[:, :, 0, 0]
 
 
-def _clear_price(demand, capacity, hi: float, tolerance: float) -> tuple[float, int]:
+def _clear_price(demand, capacity, hi: float, tolerance: float, bracket=None) -> tuple[float, int]:
     """Clearing price of a nonincreasing ``demand`` curve, and the bisection steps taken.
 
     The scalar twin of :func:`_clear_prices`, for markets cleared one at a
@@ -196,16 +250,22 @@ def _clear_price(demand, capacity, hi: float, tolerance: float) -> tuple[float, 
     ``[0, hi]`` halved to machine precision or ``MAX_BISECTION_STEPS``.
     Raises ``SolverError`` if demand there misses by more than
     ``tolerance * max(capacity, 1)``.
+
+    A proven ``bracket`` ``(low, high)`` (module docstring) decides every
+    midpoint below ``low`` as over capacity and every one above ``high`` as
+    not, without calling ``demand``; the halvings, and so the price, the
+    steps and any error, are those of the plain bisection.
     """
     if demand(0.0) <= capacity:
         return 0.0, 0
+    low, high = bracket or (0.0, hi)
     lo, steps = 0.0, 0
     for _ in range(MAX_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
         steps += 1
-        if demand(mid) > capacity:
+        if mid < low or (mid <= high and demand(mid) > capacity):
             lo = mid
         else:
             hi = mid
@@ -218,7 +278,9 @@ def _clear_price(demand, capacity, hi: float, tolerance: float) -> tuple[float, 
     return hi, steps
 
 
-def _clear_prices(demand, at_zero: np.ndarray, capacity: np.ndarray, hi: np.ndarray, tolerance: float, market_name):
+def _clear_prices(
+    demand, at_zero: np.ndarray, capacity: np.ndarray, hi: np.ndarray, tolerance: float, market_name, bracket=None
+):
     """Clearing prices of (market, resource) lanes, and the bisection steps of each.
 
     Every lane follows :func:`_clear_price`'s rule: zero where its demand at
@@ -228,24 +290,56 @@ def _clear_prices(demand, at_zero: np.ndarray, capacity: np.ndarray, hi: np.ndar
     demands.  Raises ``SolverError`` naming the first lane whose demand at its
     price misses by more than ``tolerance * max(capacity, 1)``, its market
     ``k`` by ``market_name(k)``.
+
+    With proven brackets ``(low, high)`` (K, N each; module docstring),
+    lanes step by position until every moving lane's midpoint is inside its
+    bracket, and only then is ``demand`` called; ``MAX_BISECTION_STEPS``
+    bounds both kinds of step of a lane.
     """
     free = at_zero <= capacity
     hi = np.broadcast_to(hi, at_zero.shape)
     # A free lane is pinned at lo == hi, so it never moves and costs no step.
     lo = np.where(free, hi, 0.0)
     steps = np.zeros(at_zero.shape, dtype=np.int64)
-    for _ in range(MAX_BISECTION_STEPS):
+    if bracket is not None:
+        # A midpoint below low or above high differs from both ends, so a
+        # positional step always moves; a free lane, whose midpoint is its
+        # ends, must see none.
+        low, high = bracket[0], np.where(free, np.inf, bracket[1])
+    rounds = 0
+    while True:
         mid = 0.5 * (lo + hi)
+        # A lane steps at most once a round, so none can have used up its
+        # budget in the first MAX_BISECTION_STEPS rounds.
+        spare = None if rounds < MAX_BISECTION_STEPS else steps < MAX_BISECTION_STEPS
+        rounds += 1
+        if bracket is not None:
+            below, above = mid < low, mid > high
+            if spare is not None:
+                below &= spare
+                above &= spare
+            known = below | above
+            if known.any():
+                steps += known
+                lo = np.where(below, mid, lo)
+                hi = np.where(above, mid, hi)
+                continue
         moving = (mid != lo) & (mid != hi)
+        if spare is not None:
+            moving &= spare
         if not moving.any():
             break
         steps += moving
-        # A lane that has stopped sits at mid == lo, where demand exceeds
-        # capacity, or at mid == hi, where it does not unless hi is still the
-        # top of the bracket: either way its price does not move.
         over = demand(mid) > capacity
-        lo = np.where(over, mid, lo)
-        hi = np.where(over, hi, mid)
+        if spare is None:
+            # A lane that has stopped sits at mid == lo, where demand exceeds
+            # capacity, or at mid == hi, where it does not unless hi is still
+            # the top of the bracket: either way its price does not move.
+            lo = np.where(over, mid, lo)
+            hi = np.where(over, hi, mid)
+        else:  # a lane out of budget does not move at all
+            lo = np.where(moving & over, mid, lo)
+            hi = np.where(moving & ~over, mid, hi)
     residual = np.abs(demand(hi) - capacity)
     failed = ~free & ~(residual <= tolerance * np.maximum(capacity, 1.0))
     if failed.any():
@@ -256,6 +350,55 @@ def _clear_prices(demand, at_zero: np.ndarray, capacity: np.ndarray, hi: np.ndar
             f"[{float(lo[k, n])!r}, {float(hi[k, n])!r}] after {int(steps[k, n])} bisection steps"
         )
     return np.where(free, 0.0, hi), steps
+
+
+def _start_price(w, a, b, capacity):
+    """Price at which an unclamped type ``(w, a, b)`` (floats or arrays) loads ``capacity``:
+    on a market's weight averages, its clearing price if influence is linear."""
+    z = 2.0 * capacity / (a + (a * a + 4.0 * b * capacity) ** 0.5)
+    return w / ((1.0 + z) * (a + 2.0 * b * z))
+
+
+def _brackets(responder, rows: np.ndarray, capacity, at_zero, z_max: float):
+    """Proven brackets ``(low, high)`` (K, N each) of the clearing prices of markets ``rows`` (K, R).
+
+    Newton steps on log demand against log price from :func:`_start_price`
+    (one that leaves the bracket halves it instead), until every lane not
+    free at zero is within its margin or ``_NEWTON_STEPS`` are spent, then a
+    probe three margins' worth of price to either side.  An end moves only
+    to a price whose demand clears capacity by the margin.  ``responder``
+    is :func:`_responder`'s; its tables serve here too, since fresh ones
+    would cost as much memory as respond's arrays when K is 1.
+    """
+    respond, load, hi, (w, a, b) = responder
+    mass = rows.sum(axis=1, keepdims=True)
+    x = _start_price(*((rows @ t.T) / mass for t in (w, a, b)), capacity / mass)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        worst = np.where(b > 0.0, (a + 2.0 * b * z_max) * (a + 2.0 * b) / (2.0 * b), a)
+        margin = _ROUNDING * ((rows.shape[1] + 2) * np.maximum(capacity, 1.0) + rows @ worst.T)
+    del worst
+    low, high = np.zeros(at_zero.shape), np.broadcast_to(hi, at_zero.shape)
+    for _ in range(_NEWTON_STEPS):
+        z = respond(x)
+        demand = _demand(rows, load(z))
+        excess = demand - capacity
+        low = np.where(excess > margin, x, low)
+        high = np.where(excess < -margin, x, high)
+        elastic = _demand(rows, _elasticities(z, a, b, z_max))
+        del z
+        ok = (demand > 0.0) & (elastic > 0.0)
+        elastic = np.where(ok, elastic, np.inf)
+        newton = x * np.exp(np.minimum(np.log(np.where(ok, demand / capacity, 1.0)) * demand / elastic, 40.0))
+        spread = 3.0 * margin * x / elastic
+        x = np.where((newton > low) & (newton < high), newton, 0.5 * (low + high))
+        if np.all((np.abs(excess) <= margin) | (at_zero <= capacity)):
+            break
+    for probe in (x - spread, x + spread):
+        inside = (probe > low) & (probe < high)
+        excess = _demand(rows, load(respond(np.where(inside, probe, x)))) - capacity
+        low = np.where(inside & (excess > margin), probe, low)
+        high = np.where(inside & (excess < -margin), probe, high)
+    return low, high
 
 
 def _checked_markets(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, np.ndarray]:
@@ -287,6 +430,51 @@ def _response(w: float, a: float, b: float, p: float, z_max: float) -> float:
     return min(max(z, 0.0), z_max)
 
 
+def _bracket(respond, total, lanes, weights, capacity: float, hi: float, z_max: float) -> tuple[float, float]:
+    """:func:`_brackets` on one (market, resource) lane, in Python floats.
+
+    ``respond(p)`` lists the best responses of ``lanes`` (the ``(w, a, b)``
+    of every type) at a price ``p > 0``, and ``total`` weighs their loads
+    by ``weights`` as the lane's demand does.
+    """
+    mass = sum(weights)
+    x = _start_price(*(sum(r * t[i] for r, t in zip(weights, lanes)) / mass for i in range(3)), capacity / mass)
+    worst = sum(
+        r * ((a + 2.0 * b * z_max) * (a + 2.0 * b) / (2.0 * b) if b > 0.0 else a)
+        for r, (_, a, b) in zip(weights, lanes)
+    )
+    margin = _ROUNDING * ((len(lanes) + 2) * max(capacity, 1.0) + worst)
+    low, high, spread = 0.0, hi, 0.0
+    for _ in range(_NEWTON_STEPS):
+        z = respond(x)
+        demand = total(z)
+        excess = demand - capacity
+        if excess > margin:
+            low = x
+        elif excess < -margin:
+            high = x
+        elastic = 0.0
+        for r, (_, a, b), z_r in zip(weights, lanes, z):
+            if 0.0 < z_r < z_max:
+                slope = a + 2.0 * b * z_r
+                elastic += r * slope * slope * (1.0 + z_r) / (slope + 2.0 * b * (1.0 + z_r))
+        newton = -1.0
+        if demand > 0.0 and elastic > 0.0:
+            newton = x * math.exp(min(math.log(demand / capacity) * demand / elastic, 40.0))
+            spread = 3.0 * margin * x / elastic
+        x = newton if low < newton < high else 0.5 * (low + high)
+        if abs(excess) <= margin:
+            break
+    for probe in (x - spread, x + spread):
+        if low < probe < high:
+            excess = total(respond(probe)) - capacity
+            if excess > margin:
+                low = probe
+            elif excess < -margin:
+                high = probe
+    return low, high
+
+
 def _clear_market(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, np.ndarray, int]:
     """Clear one market resource by resource: ``(p (N,), z (R, N), steps)``.
 
@@ -294,11 +482,13 @@ def _clear_market(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, 
     and errors (a failure names its resource): best responses take the same
     float operations in the same order (:func:`_response`), and demand is
     one ``np.dot`` over a contiguous row, as in :func:`_demand`.  For
-    markets cleared one at a time, where arrays do not pay off.
+    markets cleared one at a time, where arrays do not pay off.  Each
+    resource that does not clear at zero is bracketed (:func:`_bracket`)
+    before its bisection.
     """
     rows, caps = _checked_markets(scenario, np.asarray(weights, dtype=float)[None], capacities)
     tables = [t.T.tolist() for t in (scenario.type_weights(), scenario.type_linear(), scenario.type_quadratic())]
-    prices, allocations, steps, z_max = [], [], 0, scenario.z_max
+    prices, allocations, steps, z_max, row = [], [], 0, scenario.z_max, rows[0].tolist()
     for n, (cap, *lanes) in enumerate(zip(caps.tolist(), *tables)):
         lanes = list(zip(*lanes))  # (w, a, b) of every type
 
@@ -307,11 +497,16 @@ def _clear_market(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, 
                 return [z_max] * len(lanes)
             return [_response(w, a, b, p, z_max) for w, a, b in lanes]
 
-        def demand(p: float) -> float:
-            return np.dot(rows[0], [a * z + b * z * z for (_, a, b), z in zip(lanes, respond(p))])
+        def total(z: list[float]) -> float:
+            return np.dot(rows[0], [a * z + b * z * z for (_, a, b), z in zip(lanes, z)])
 
+        def demand(p: float) -> float:
+            return total(respond(p))
+
+        hi = max(w / a for w, a, _ in lanes)
+        bracket = _bracket(respond, total, lanes, row, cap, hi, z_max) if demand(0.0) > cap else None
         try:
-            price, lane_steps = _clear_price(demand, cap, max(w / a for w, a, _ in lanes), PRICE_TOLERANCE)
+            price, lane_steps = _clear_price(demand, cap, hi, PRICE_TOLERANCE, bracket)
         except SolverError as exc:
             raise SolverError(f"resource {n} {exc}") from None
         prices.append(price)
@@ -325,15 +520,18 @@ def clear_markets(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, 
 
     Row ``k`` of ``weights`` (K, R) weighs the flattened types of market
     ``k``; rows need not sum to one, and a type may carry zero weight.  All
-    (market, resource) prices are found in one array bisection, each bit for
-    bit what a scalar bisection of that resource's demand gives; markets go
-    in batches of ``_BATCH_ELEMENTS // (R * N)``, which bounds memory.
+    (market, resource) prices of a batch are bracketed together
+    (:func:`_brackets`) and then found in one array bisection that
+    evaluates demand only inside the brackets, each bit for bit what a
+    scalar bisection of that resource's demand gives; markets go in batches
+    of ``_BATCH_ELEMENTS // (R * N)``, which bounds memory.
     Returns the prices (K, N), every type's allocation at them (K, R, N),
     and the bisection steps of each market (K,).
     """
     num_types, num_resources = scenario.type_space.num_types, scenario.type_space.num_resources
     weights, caps = _checked_markets(scenario, weights, capacities)
-    respond, load, hi = _responder(scenario)
+    responder = _responder(scenario)
+    respond, load, hi, _ = responder
     at_z_max = load(np.full((1, num_resources, num_types), scenario.z_max))
     num_markets = len(weights)
     prices = np.empty((num_markets, num_resources))
@@ -343,13 +541,15 @@ def clear_markets(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, 
     for start in range(0, num_markets, size):
         batch = slice(start, start + size)
         rows = weights[batch]
+        at_zero = _demand(rows, at_z_max)
         prices[batch], lane_steps = _clear_prices(
             lambda p, rows=rows: _demand(rows, load(respond(p))),
-            _demand(rows, at_z_max),
+            at_zero,
             caps,
             hi,
             PRICE_TOLERANCE,
             lambda k, start=start: f"market {start + k}",
+            _brackets(responder, rows, caps, at_zero, scenario.z_max),
         )
         allocations[batch] = _allocations(respond, prices[batch], scenario.z_max).transpose(0, 2, 1)
         steps[batch] = lane_steps.sum(axis=1)

@@ -8,7 +8,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import lsvcg.solver
-from lsvcg.generate import random_scenario, rng_for
+from lsvcg.generate import dynamic_benchmark, random_scenario, rng_for
 from lsvcg.model import (
     InfluenceParams,
     Population,
@@ -284,7 +284,7 @@ def _scalar_clearing(scenario, weights, capacities):
     return p, z, steps
 
 
-VARIANTS = ("plain", "free", "at_z_max", "tiny_share", "zero_weight", "strided")
+VARIANTS = ("plain", "free", "at_z_max", "tiny_share", "zero_weight", "strided", "near_linear")
 MARKETS = dict(
     seed=st.integers(0, 2**31 - 1),
     kind=st.sampled_from(("linear", "quadratic", "mixed")),
@@ -333,6 +333,11 @@ def _random_markets(seed, kind, variant):
         )
         weights = np.asfortranarray(weights) if rng.random() < 0.5 else np.repeat(weights, 2, axis=1)[:, ::2]
         caps = np.repeat(caps, 2)[::2]
+    elif variant == "near_linear":
+        # quadratic coefficients x1e-5 to x1: cancellation in the quadratic root
+        # then sets the rounding error of demand, and so the bracket margin
+        quadratic = influence.quadratic * 10.0 ** -rng.uniform(0, 5, size=influence.quadratic.shape)
+        scenario = replace(scenario, influence=InfluenceParams(scenario.influence.linear, quadratic))
     return scenario, weights, caps, n if variant == "free" else None
 
 
@@ -388,6 +393,42 @@ def test_clear_market_raises_what_clear_markets_raises(bench_gap, rng, monkeypat
         clear_markets(scenario, scenario.population.shares[None], caps)
     assert "3 bisection steps" in str(scalar.value)
     assert str(scalar.value).split("failed to clear")[1] == str(batch.value).split("failed to clear")[1]
+
+
+def test_clearing_evaluates_demand_mostly_inside_its_bracket(monkeypatch):
+    # a bracket that fell back to the whole of [0, hi] would still clear bit for
+    # bit, so the work is pinned: the plain bisection evaluates demand 59 times
+    # on this market (57 halvings, the residual and the allocations) and 56
+    # times on the slot (54 halvings, the residual and the allocations)
+    evaluations = []
+    responder = lsvcg.solver._responder
+
+    def counted_responder(scenario):
+        respond, *rest = responder(scenario)
+        return (lambda p: evaluations.append(p.shape) or respond(p), *rest)
+
+    monkeypatch.setattr(lsvcg.solver, "_responder", counted_responder)
+    wide = random_scenario(rng_for(1, 4), 64, 2, 64, None, quadratic=True)
+    clear_markets(wide, wide.population.shares[None], wide.capacities)
+    assert len(evaluations) <= 30
+
+    responses = []
+    response = lsvcg.solver._response
+    monkeypatch.setattr(lsvcg.solver, "_response", lambda *lane: responses.append(lane) or response(*lane))
+    dyn = dynamic_benchmark("allocation")
+    p, _, steps = lsvcg.solver._clear_market(dyn.static, dyn.rho0, dyn.static.capacities)
+    assert p[0] > 0.0 and steps > 50
+    assert len(responses) <= 20 * dyn.num_types
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError, reason="cancellation in the quadratic root of a near-linear type")
+def test_near_linear_quadratic_influence_clears(bench1):
+    # with b = 1e-8, (sqrt(B^2 - 4AC) - B) / (2A) loses about u (a + 2b) / (2b),
+    # some 5e-9, of the allocation to cancellation, so demand at the last
+    # bracket misses capacity by 3e-9, beyond PRICE_TOLERANCE
+    scenario = replace(bench1, influence=InfluenceParams(linear=[[1.0]], quadratic=[[1e-8]]))
+    solution = solve_weighted(scenario, scenario.population.shares)
+    assert solution.kkt_residual <= 1e-9
 
 
 def test_solve_weighted_is_the_single_market_case(rng):
