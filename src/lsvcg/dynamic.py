@@ -38,7 +38,7 @@ from .model import (
     scenario_to_dict,
     utility_value,
 )
-from .solver import SolverError, _clear_market, _clear_price, _clear_prices, clear_markets
+from .solver import SolverError, _clear_market, _clear_price, _clear_prices, _newton_brackets, clear_markets
 
 __all__ = [
     "TransitionKernel",
@@ -211,8 +211,8 @@ class DynamicIncentiveRow:
 
 
 def _is_simplex(rho: np.ndarray, floor: float) -> bool:
-    """Whether every entry is finite and at least ``floor``, summing to one within 1e-12."""
-    return bool(np.all(np.isfinite(rho)) and np.all(rho >= floor) and abs(float(rho.sum()) - 1.0) <= 1e-12)
+    """Whether every entry is finite and at least ``floor``, each row summing to one within 1e-12."""
+    return bool(np.isfinite(rho).all() and (rho >= floor).all() and (np.abs(rho.sum(axis=-1) - 1.0) <= 1e-12).all())
 
 
 def _per_type_allocations(z, num_types: int) -> np.ndarray:
@@ -270,9 +270,13 @@ def _rollout(dyn: DynamicScenario, allocate):
     prices = np.empty((dyn.horizon, num_res))
     rho_path = np.empty((dyn.horizon + 1, dyn.num_types))
     rho_path[0] = dyn.rho0
+    types, kernel = np.arange(dyn.num_types), dyn.kernel
     for t in range(dyn.horizon):
         allocations[t], prices[t] = allocate(t, rho_path[t])
-        rho_path[t + 1] = mean_field_step(rho_path[t], allocations[t], dyn.kernel)
+        # mean_field_step, whose check of each distribution is made once below
+        rho_path[t + 1] = kernel.probabilities[:, types, kernel.bin_of(allocations[t])] @ rho_path[t]
+    if not _is_simplex(rho_path[: dyn.horizon], -1e-15):
+        raise ValidationError("state distribution must be a finite simplex vector")
     return allocations, prices, rho_path
 
 
@@ -413,6 +417,8 @@ def value_u_sigma(dyn: DynamicScenario, policy: Policy, theta: int, z, t: int) -
 #: Largest relative clearing miss ``|demand - capacity| / max(capacity, 1)``
 #: a binned slot may leave.
 BINNED_PRICE_TOLERANCE = 1e-6
+# Unit roundoffs in the tie width of a binned slot's bracket (_clear_slots).
+_TIE_ROUNDING = 64 * 2.0**-53
 
 
 def _binned_best_response(dyn, cont_row, w: float, price: float) -> float:
@@ -500,8 +506,45 @@ def _clear_slots(
     (bins in index order, the same ``1e-15`` margin, ``z_cap`` at price
     zero, ``math.log1p``), sums its demand type by type in index order as
     the scalar ``sum`` does, and keeps its own slot's price ceiling; one
-    array bisection (:func:`~lsvcg.solver._clear_prices`) clears them all.
-    A failure names the market's slot and shares.
+    array bisection (:func:`~lsvcg.solver._clear_prices`) clears them all,
+    evaluating demand only inside each lane's bracket.  A failure names the
+    market's slot and shares.
+
+    The brackets come from :func:`~lsvcg.solver._newton_brackets`.  They
+    start at ``sum s w / (sum s + C)``, the root when every type is interior
+    to a bin, and take the slope ``sum s w / p`` over the types that are.
+    They are proven without locating any type's switch price:
+
+    - With each type's bin fixed, computed demand is nonincreasing in price:
+      ``w/p - 1``, the clamps, the products with nonnegative shares and the
+      index-order sum all preserve order under correct rounding.  Only the
+      bin choice is not monotone.
+    - The rule keeps a bin within ``1e-15`` of the best computed value (plus
+      the rounding of that sum).  Each computed value is within ``5 u M`` of
+      the bin's exact value ``v_k(p)``, the maximum of its objective over
+      the bin; ``u = 2**-53``, and ``M = w log1p(z_cap) + max |cont| + P
+      z_cap`` bounds each term at every price up to the ceiling ``P``.  The
+      allocation's own rounding adds only second-order terms, since the
+      objective is stationary in it.
+    - A bin is tied at ``x`` if its computed value is within ``delta =
+      1e-15 + 64 u M`` of the best there.  The errors at two prices come to
+      about ``22 u M``.
+    - Exact values have ``v_k - v_j`` nonincreasing in ``p`` for bins ``k >
+      j``: its slope is ``z_j - z_k <= 0``.
+    - Say the rule picks bin ``j`` at a midpoint ``m < L``, below ``k``, the
+      lowest bin tied at ``L``.  The best bin at ``L`` is at least ``k`` and
+      beats ``j`` there by more than ``delta`` less the errors at ``L``, so
+      it beats ``j`` at ``m`` by more than the rule's margin and errors
+      allow.  So the rule's bin at ``m`` is at least ``k``, and its
+      allocation at ``m`` at least bin ``k``'s at ``L``.
+    - So if demand at ``L``, with every tie resolved to its lowest bin,
+      exceeds capacity, every midpoint below ``L`` computes "over capacity".
+      Symmetrically, if demand at ``H``, with every tie resolved to its
+      highest bin, is within capacity, every midpoint above ``H`` computes
+      "not over".
+
+    The Newton margin, twice the rounding error ``u (sum s + (T + 2) D)`` of
+    computed demand, only sets where the steps stop and the probes land.
     """
     caps = dyn.static.capacities
     if dyn.kernel.allocation_independent:
@@ -517,42 +560,78 @@ def _clear_slots(
         if lo <= hi:
             bins.append((k, lo, hi, math.log1p(lo), math.log1p(hi)))
     cont = policy.continuation[slots]  # (K, T, B)
+    ceiling = _price_ceiling(dyn, policy, slots)[:, None]
 
-    def respond(price: np.ndarray) -> np.ndarray:
-        """Every type's best allocation (K, T) at prices ``price`` (K, 1)."""
+    def options(price: np.ndarray):
+        """Every bin's allocation and value (B', K, T each) at prices ``price`` (K, 1), and the
+        unclamped response (K, T)."""
         positive = price > 0
         unclamped = np.where(positive, w / np.where(positive, price, 1.0) - 1.0, z_cap)
         # A bin's allocation is `unclamped` or one of its ends, so these are
         # the logs the scalar rule takes.  They come from math.log1p, which
         # np.log1p does not match in the last bit.
         log_unclamped = np.fromiter(map(math.log1p, unclamped.ravel().tolist()), float).reshape(unclamped.shape)
-        best_value = np.full(unclamped.shape, -np.inf)
-        best_z = np.zeros(unclamped.shape)
-        for k, lo, hi, log_lo, log_hi in bins:
-            z_k = np.minimum(np.maximum(unclamped, lo), hi)
+        z = np.empty((len(bins), *unclamped.shape))
+        value = np.empty(z.shape)
+        for i, (k, lo, hi, log_lo, log_hi) in enumerate(bins):
+            z[i] = np.minimum(np.maximum(unclamped, lo), hi)
             log_z = np.where(unclamped < lo, log_lo, np.where(unclamped > hi, log_hi, log_unclamped))
-            value = w * log_z + cont[:, :, k] - price * z_k
-            better = value > best_value + 1e-15
-            best_value = np.where(better, value, best_value)
+            value[i] = w * log_z + cont[:, :, k] - price * z[i]
+        return z, value, unclamped
+
+    def respond(price: np.ndarray) -> np.ndarray:
+        """Every type's best allocation (K, T) at prices ``price`` (K, 1)."""
+        z, value, _ = options(price)
+        best_value = np.full(value.shape[1:], -np.inf)
+        best_z = np.zeros(value.shape[1:])
+        for z_k, value_k in zip(z, value):
+            better = value_k > best_value + 1e-15
+            best_value = np.where(better, value_k, best_value)
             best_z = np.where(better, z_k, best_z)
         return best_z
 
-    def demand(price: np.ndarray) -> np.ndarray:
-        z = respond(price)
-        total = shares[:, 0] * z[:, 0]
+    def total(z: np.ndarray) -> np.ndarray:
+        demand = shares[:, 0] * z[:, 0]
         for theta in range(1, z.shape[1]):
-            total = total + shares[:, theta] * z[:, theta]
-        return total[:, None]
+            demand = demand + shares[:, theta] * z[:, theta]
+        return demand[:, None]
 
+    z = None  # the responses demand was last evaluated at
+
+    def demand(price: np.ndarray) -> np.ndarray:
+        nonlocal z
+        z = respond(price)
+        return total(z)
+
+    delta = 1e-15 + _TIE_ROUNDING * (w * math.log1p(z_cap) + np.max(np.abs(cont), axis=2) + ceiling * z_cap)
+
+    def tied(price: np.ndarray, slope: bool):
+        """Demand (K, 1) at prices ``price`` with every tie resolved to its lowest bin, and to its
+        highest; and, if ``slope``, ``-p dD/dp`` at the first.  A higher bin never allocates
+        less, so those bins' allocations are the least and the most a tied bin allocates."""
+        allocations, value, unclamped = options(price)
+        near = value >= np.max(value, axis=0) - delta
+        lowest = np.min(np.where(near, allocations, np.inf), axis=0)
+        highest = np.max(np.where(near, allocations, 0.0), axis=0)
+        elastic = ((shares * (lowest == unclamped)) @ w)[:, None] / price if slope else None
+        return total(lowest), total(highest), elastic
+
+    at_zero = demand(np.zeros((len(shares), 1)))
+    free_z = z
+    mass = shares.sum(axis=1, keepdims=True)
+    margin = 2.0**-52 * (mass + (dyn.num_types + 2) * max(float(caps[0]), 1.0))
     p, steps = _clear_prices(
         demand,
-        demand(np.zeros((len(shares), 1))),
+        at_zero,
         caps,
-        _price_ceiling(dyn, policy, slots)[:, None],
+        ceiling,
         BINNED_PRICE_TOLERANCE,
         lambda k: f"slot {slots[k]} market {shares[k].tolist()}",
+        _newton_brackets(tied, (shares @ w)[:, None] / (mass + caps), caps, margin, ceiling, at_zero <= caps),
     )
-    return respond(p)[:, :, None], p, steps[:, 0]
+    # the last evaluation is the residual's, at every lane's price but the
+    # free ones, which take the responses at price zero
+    return np.where(p > 0.0, z, free_z)[:, :, None], p, steps[:, 0]
 
 
 def _values(dyn: DynamicScenario, policy: Policy, slots, types, z: np.ndarray) -> np.ndarray:

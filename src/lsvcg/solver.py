@@ -31,8 +31,11 @@ rounding of the loads and of their sum over ``R`` types, and the
 cancellation in ``(sqrt(B^2 - 4 A C) - B) / (2 A)``, about
 ``u (a + 2 b) / (2 b)`` of allocation, times the steepest load slope.
 Safeguarded Newton steps on log demand against log price (Low and Lapsley
-1999) find the brackets; binned dynamic slots, whose demand jumps, bisect
-without one.
+1999) find the brackets (``_newton_brackets``).  Binned dynamic slots, whose
+demand jumps where a type's best bin switches, are bracketed by the same
+steps and replay the same bisection; their brackets are proven by resolving
+every near-tie between bins to the side that weakens the bracket
+(``dynamic._clear_slots``), with no switch price located.
 
 Also provides the exact KKT residual, the implicit-function-theorem
 sensitivity of shadow prices to population shares, and the closed-form norm
@@ -359,16 +362,51 @@ def _start_price(w, a, b, capacity):
     return w / ((1.0 + z) * (a + 2.0 * b * z))
 
 
+def _newton_brackets(evaluate, x, capacity, margin, hi, settled):
+    """Proven brackets ``(low, high)`` of the clearing prices of lanes (K, N), from Newton steps.
+
+    ``evaluate(x, slope)`` gives two demands at positive prices ``x`` (K,
+    N): ``below``, such that every midpoint below ``x`` computes "over
+    capacity" where ``below`` exceeds ``capacity`` by ``margin``, and
+    ``above``, such that every one above ``x`` computes "not over" where
+    ``above`` falls short of it by ``margin``; and, if ``slope``, ``-x
+    dD/dx``.  Safeguarded Newton steps on log demand against log price (Low
+    and Lapsley 1999) go from the start ``x`` (one that leaves the bracket
+    halves it instead), until every lane not ``settled`` is within its
+    margin or ``_NEWTON_STEPS`` are spent; then a probe three margins' worth
+    of price to either side of the last iterate.  An end moves only to a
+    price that proves it, so ``[0, hi]`` is the bracket of a lane that
+    never finds one.
+    """
+    low, high = np.zeros(x.shape), np.broadcast_to(hi, x.shape)
+    for _ in range(_NEWTON_STEPS):
+        below, above, elastic = evaluate(x, True)
+        over, under = below - capacity, above - capacity
+        low = np.where(over > margin, x, low)
+        high = np.where(under < -margin, x, high)
+        ok = (below > 0.0) & (elastic > 0.0)
+        elastic = np.where(ok, elastic, np.inf)
+        newton = x * np.exp(np.minimum(np.log(np.where(ok, below / capacity, 1.0)) * below / elastic, 40.0))
+        spread = 3.0 * margin * x / elastic
+        x = np.where((newton > low) & (newton < high), newton, 0.5 * (low + high))
+        if np.all(((over <= margin) & (under >= -margin)) | settled):
+            break
+    for probe in (x - spread, x + spread):
+        inside = (probe > low) & (probe < high)
+        below, above, _ = evaluate(np.where(inside, probe, x), False)
+        low = np.where(inside & (below - capacity > margin), probe, low)
+        high = np.where(inside & (above - capacity < -margin), probe, high)
+    return low, high
+
+
 def _brackets(responder, rows: np.ndarray, capacity, at_zero, z_max: float):
     """Proven brackets ``(low, high)`` (K, N each) of the clearing prices of markets ``rows`` (K, R).
 
-    Newton steps on log demand against log price from :func:`_start_price`
-    (one that leaves the bracket halves it instead), until every lane not
-    free at zero is within its margin or ``_NEWTON_STEPS`` are spent, then a
-    probe three margins' worth of price to either side.  An end moves only
-    to a price whose demand clears capacity by the margin.  ``responder``
-    is :func:`_responder`'s; its tables serve here too, since fresh ones
-    would cost as much memory as respond's arrays when K is 1.
+    :func:`_newton_brackets` from :func:`_start_price`, where both demands
+    are the computed demand and the margin is the module docstring's: an
+    end moves only to a price whose demand clears capacity by the margin.
+    ``responder`` is :func:`_responder`'s; its tables serve here too, since
+    fresh ones would cost as much memory as respond's arrays when K is 1.
     """
     respond, load, hi, (w, a, b) = responder
     mass = rows.sum(axis=1, keepdims=True)
@@ -377,28 +415,13 @@ def _brackets(responder, rows: np.ndarray, capacity, at_zero, z_max: float):
         worst = np.where(b > 0.0, (a + 2.0 * b * z_max) * (a + 2.0 * b) / (2.0 * b), a)
         margin = _ROUNDING * ((rows.shape[1] + 2) * np.maximum(capacity, 1.0) + rows @ worst.T)
     del worst
-    low, high = np.zeros(at_zero.shape), np.broadcast_to(hi, at_zero.shape)
-    for _ in range(_NEWTON_STEPS):
+
+    def evaluate(x: np.ndarray, slope: bool):
         z = respond(x)
         demand = _demand(rows, load(z))
-        excess = demand - capacity
-        low = np.where(excess > margin, x, low)
-        high = np.where(excess < -margin, x, high)
-        elastic = _demand(rows, _elasticities(z, a, b, z_max))
-        del z
-        ok = (demand > 0.0) & (elastic > 0.0)
-        elastic = np.where(ok, elastic, np.inf)
-        newton = x * np.exp(np.minimum(np.log(np.where(ok, demand / capacity, 1.0)) * demand / elastic, 40.0))
-        spread = 3.0 * margin * x / elastic
-        x = np.where((newton > low) & (newton < high), newton, 0.5 * (low + high))
-        if np.all((np.abs(excess) <= margin) | (at_zero <= capacity)):
-            break
-    for probe in (x - spread, x + spread):
-        inside = (probe > low) & (probe < high)
-        excess = _demand(rows, load(respond(np.where(inside, probe, x)))) - capacity
-        low = np.where(inside & (excess > margin), probe, low)
-        high = np.where(inside & (excess < -margin), probe, high)
-    return low, high
+        return demand, demand, _demand(rows, _elasticities(z, a, b, z_max)) if slope else None
+
+    return _newton_brackets(evaluate, x, capacity, margin, hi, at_zero <= capacity)
 
 
 def _checked_markets(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, np.ndarray]:
@@ -489,6 +512,7 @@ def _clear_market(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, 
     rows, caps = _checked_markets(scenario, np.asarray(weights, dtype=float)[None], capacities)
     tables = [t.T.tolist() for t in (scenario.type_weights(), scenario.type_linear(), scenario.type_quadratic())]
     prices, allocations, steps, z_max, row = [], [], 0, scenario.z_max, rows[0].tolist()
+    last = None  # the responses demand was last evaluated at: the residual's, at the price
     for n, (cap, *lanes) in enumerate(zip(caps.tolist(), *tables)):
         lanes = list(zip(*lanes))  # (w, a, b) of every type
 
@@ -501,7 +525,9 @@ def _clear_market(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, 
             return np.dot(rows[0], [a * z + b * z * z for (_, a, b), z in zip(lanes, z)])
 
         def demand(p: float) -> float:
-            return total(respond(p))
+            nonlocal last
+            last = respond(p)
+            return total(last)
 
         hi = max(w / a for w, a, _ in lanes)
         bracket = _bracket(respond, total, lanes, row, cap, hi, z_max) if demand(0.0) > cap else None
@@ -510,7 +536,7 @@ def _clear_market(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, 
         except SolverError as exc:
             raise SolverError(f"resource {n} {exc}") from None
         prices.append(price)
-        allocations.append(respond(price))
+        allocations.append(last)
         steps += lane_steps
     return np.array(prices), np.array(allocations).T.copy(), steps
 
@@ -538,12 +564,20 @@ def clear_markets(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, 
     allocations = np.empty((num_markets, num_types, num_resources))
     steps = np.empty(num_markets, dtype=np.int64)
     size = max(1, _BATCH_ELEMENTS // (num_types * num_resources))
+    z = None  # the responses demand was last evaluated at
+
+    def demand(p: np.ndarray) -> np.ndarray:
+        """Demand of the batch's markets ``rows``."""
+        nonlocal z
+        z = respond(p)
+        return _demand(rows, load(z))
+
     for start in range(0, num_markets, size):
         batch = slice(start, start + size)
         rows = weights[batch]
         at_zero = _demand(rows, at_z_max)
         prices[batch], lane_steps = _clear_prices(
-            lambda p, rows=rows: _demand(rows, load(respond(p))),
+            demand,
             at_zero,
             caps,
             hi,
@@ -551,7 +585,9 @@ def clear_markets(scenario: Scenario, weights, capacities) -> tuple[np.ndarray, 
             lambda k, start=start: f"market {start + k}",
             _brackets(responder, rows, caps, at_zero, scenario.z_max),
         )
-        allocations[batch] = _allocations(respond, prices[batch], scenario.z_max).transpose(0, 2, 1)
+        # the last evaluation is the residual's, at every lane's price but
+        # the free ones, which take z_max at price zero
+        allocations[batch] = np.where(prices[batch, :, None] <= 0.0, scenario.z_max, z).transpose(0, 2, 1)
         steps[batch] = lane_steps.sum(axis=1)
     return prices, allocations, steps
 

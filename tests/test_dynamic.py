@@ -402,6 +402,120 @@ def test_clear_slots_matches_the_scalar_slot_bit_for_bit(binned_policies, preset
         assert str(exc.value).split("failed to clear")[1] == message.split("failed to clear")[1]
 
 
+def _gap_evaluations(dyn: DynamicScenario, policy: Policy, bracketed: bool = True):
+    """Demand evaluations of one ``dynamic_incentive_gap(dyn, policy, 10)`` call, bracket
+    included, and its per-type gaps; with ``bracketed`` false the slots bisect without one."""
+    evaluations = []
+    newton, clear_prices = lsvcg.dynamic._newton_brackets, lsvcg.dynamic._clear_prices
+
+    def counted(evaluate):
+        return lambda *args: evaluations.append(args) or evaluate(*args)
+
+    def brackets(evaluate, *args):
+        return newton(counted(evaluate), *args) if bracketed else None
+
+    def cleared(demand, *args):
+        return clear_prices(counted(demand), *args)
+
+    with (
+        mock.patch.object(lsvcg.dynamic, "_newton_brackets", brackets),
+        mock.patch.object(lsvcg.dynamic, "_clear_prices", cleared),
+    ):
+        rows = dynamic_incentive_gap(dyn, policy, 10)
+    return len(evaluations), [row.per_type_gap for row in rows]
+
+
+def test_binned_gap_evaluates_demand_mostly_inside_its_brackets(binned_policies):
+    # a bracket that fell back to [0, ceiling] would still clear bit for bit,
+    # so the work is pinned: the plain bisection evaluates demand 56 or 57
+    # times per gap (its halvings and the residual)
+    evaluations, _ = _gap_evaluations(*binned_policies["allocation", 0.9, "myopic"])
+    assert evaluations <= 12
+    for dyn, policy in binned_policies.values():
+        evaluations, gaps = _gap_evaluations(dyn, policy)
+        plain, plain_gaps = _gap_evaluations(dyn, policy, bracketed=False)
+        assert evaluations <= plain and gaps == plain_gaps
+
+
+def _scalar_demand(dyn: DynamicScenario, policy: Policy, t: int, shares: np.ndarray, price: float) -> float:
+    """Slot ``t``'s demand at ``shares`` and ``price`` under the scalar rule, summed as ``_clear_slot`` sums it."""
+    w = dyn.static.utility.weights[:, 0].tolist()
+    cont = policy.continuation[t]
+    responses = [lsvcg.dynamic._binned_best_response(dyn, cont[theta], w[theta], price) for theta in range(len(w))]
+    return float(sum(shares[theta] * z for theta, z in enumerate(responses)))
+
+
+def _assert_brackets_are_sound(shares: np.ndarray, slots: np.ndarray, dyn: DynamicScenario, policy: Policy):
+    """Every bracket ``_clear_slots`` hands its bisection holds the scalar rule's crossing:
+    over capacity below ``low``, not over above ``high``, and the plain bisection's price inside."""
+    brackets = []
+    newton = lsvcg.dynamic._newton_brackets
+
+    def recorded(*args):
+        brackets.append(newton(*args))
+        return brackets[-1]
+
+    with mock.patch.object(lsvcg.dynamic, "_newton_brackets", recorded):
+        try:
+            lsvcg.dynamic._clear_slots(shares, slots, dyn, policy)
+        except SolverError:
+            pass
+    low, high = (end[:, 0].tolist() for end in brackets[0])
+    cap = float(dyn.static.capacities[0])
+    for k, t in enumerate(slots.tolist()):
+
+        def demand(price: float) -> float:
+            return _scalar_demand(dyn, policy, t, shares[k], price)
+
+        if demand(0.0) <= cap:
+            continue
+        ceiling = float(lsvcg.dynamic._price_ceiling(dyn, policy, t))
+        below = [math.nextafter(low[k], 0.0)] + [low[k] * (1.0 - 2.0**-j) for j in (1, 8, 30, 50)]
+        assert all(demand(price) > cap for price in below)
+        if high[k] < ceiling:
+            above = [math.nextafter(high[k], math.inf)] + [high[k] + (ceiling - high[k]) * 2.0**-j for j in (1, 8, 30)]
+            assert not any(demand(price) > cap for price in above)
+        # the plain bisection's price, whether or not it clears
+        price, _ = lsvcg.solver._clear_price(demand, cap, ceiling, math.inf)
+        assert low[k] < price <= high[k]
+
+
+@given(
+    preset=st.sampled_from(
+        [(k, d, m) for k in ("allocation", "switching") for d in (0.5, 0.9) for m in ("myopic", "fixed-point")]
+    ),
+    markets=st.lists(st.tuples(st.integers(0, 10**6), _SHARES), min_size=1, max_size=10),
+)
+@settings(max_examples=40, deadline=None)
+def test_binned_brackets_hold_the_scalar_crossing(binned_policies, preset, markets):
+    dyn, policy = binned_policies[preset]
+    slots = np.array([t % dyn.horizon for t, _ in markets])
+    shares = np.array([[share, 1.0 - share] for _, share in markets])
+    _assert_brackets_are_sound(shares, slots, dyn, policy)
+
+
+def test_binned_brackets_hold_the_scalar_crossing_at_near_ties():
+    # Type 0 (share 0.5) takes 0.8, the top of its first bin, at the price.
+    # Its second bin would take the static response; that bin's continuation
+    # runs over +-2e-15 around the value that ties the two bins at the
+    # price, so the bracket's evaluations see near-ties, and at some slots
+    # type 0 leaves its second bin, and demand jumps, at the clearing price.
+    shares, w0 = np.array([0.5, 0.5]), 1.4
+    dyn, policy = _two_bin_slots(w0, [-1.0])
+    price = float(lsvcg.dynamic._clear_slot(shares, dyn, policy, 0)[1][0])
+    unclamped = w0 / price - 1.0
+    assert unclamped > 0.8
+    tie = w0 * math.log1p(0.8) - price * 0.8 - (w0 * math.log1p(unclamped) - price * unclamped)
+    dyn, policy = _two_bin_slots(w0, np.linspace(tie - 2e-15, tie + 2e-15, dyn.horizon).tolist())
+    slots = np.arange(dyn.horizon)
+    jumps = 0
+    for t in slots.tolist():
+        p = float(lsvcg.dynamic._clear_slot(shares, dyn, policy, t)[1][0])
+        jumps += lsvcg.dynamic._binned_best_response(dyn, policy.continuation[t, 0], w0, math.nextafter(p, 0.0)) > 0.8
+    assert jumps > 0
+    _assert_brackets_are_sound(np.tile(shares, (dyn.horizon, 1)), slots, dyn, policy)
+
+
 @pytest.mark.parametrize("kernel", ["mixing", "allocation"])
 @pytest.mark.parametrize("num_agents", [None, 10])
 def test_incentive_rows_carry_the_truthful_slot(kernel, num_agents):
