@@ -2,10 +2,10 @@
 """Print a digest of every file the CLI writes, to compare two checkouts.
 
 Runs every subcommand on every scenario document given (default:
-``scenarios/*.json`` plus three generated documents, a wide one with 16 types
+``scenarios/*.json`` plus four generated documents, a wide one with 16 types
 and 8 resources over an infinite population, a head-count one with 60 agents
-and a near-linear head-count one with 60 agents, whose quadratic influence
-coefficients are scaled by 1e-4), ``dynamic`` in both planning modes
+and two near-linear head-count ones with 60 agents, whose quadratic influence
+coefficients are scaled by 1e-4 and by 1e-8), ``dynamic`` in both planning modes
 (``myopic`` and ``fixed-point``), ``dynamic`` on the ``mixing``,
 ``allocation`` and ``switching`` presets at discounts 0.5 and 0.9, and
 ``dynamic`` on a generated document with 3 types,
@@ -76,17 +76,18 @@ def run(label: str, scenario: Path, argv: list[str], scratch: Path) -> list[str]
 
 def generated_documents(scratch: Path) -> list[Path]:
     """A wide static document, a head-count one (capacities are totals over its agents)
-    and a near-linear head-count one (quadratic coefficients x 1e-4, where
-    cancellation in the quadratic root sets the rounding error of demand)."""
+    and two near-linear head-count ones (quadratic coefficients x 1e-4 and x 1e-8,
+    where a quadratic root that cancelled as they shrink would miss capacity)."""
     wide = random_scenario(rng_for(0, 1), num_theta=8, num_zeta=2, num_resources=8, num_agents=None, quadratic=True)
     finite = random_scenario(rng_for(0, 2), num_theta=3, num_zeta=2, num_resources=2, num_agents=60, quadratic=True)
     near = random_scenario(rng_for(0, 6), num_theta=3, num_zeta=2, num_resources=3, num_agents=60, quadratic=True)
-    near = replace(near, influence=InfluenceParams(near.influence.linear, 1e-4 * near.influence.quadratic))
+    linear, quadratic = near.influence.linear, near.influence.quadratic
     documents = []
     for name, scenario in (
         ("wide", wide),
         ("head-count", scale_capacity(finite, 60)),
-        ("near-linear", scale_capacity(near, 60)),
+        ("near-linear", scale_capacity(replace(near, influence=InfluenceParams(linear, 1e-4 * quadratic)), 60)),
+        ("nearer-linear", scale_capacity(replace(near, influence=InfluenceParams(linear, 1e-8 * quadratic)), 60)),
     ):
         documents.append(scratch / f"generated-{name}.json")
         documents[-1].write_bytes(save_scenario(scenario))
@@ -152,7 +153,7 @@ def main_digests(argv=None) -> int:
         "documents",
         nargs="*",
         type=Path,
-        help="scenario documents (default: scenarios/*.json and three generated ones)",
+        help="scenario documents (default: scenarios/*.json and four generated ones)",
     )
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:

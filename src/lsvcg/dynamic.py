@@ -432,12 +432,12 @@ def _binned_best_response(dyn, cont_row, w: float, price: float) -> float:
     edges = dyn.kernel.bin_edges
     z_cap = min(dyn.static.z_max, float(edges[-1]))
     best_value, best_z = -math.inf, 0.0
+    unclamped = (w - price) / price if price > 0 else z_cap
     for k in range(dyn.kernel.num_bins):
         lo = max(0.0, float(edges[k]))
         hi = min(z_cap, float(edges[k + 1]))
         if lo > hi:
             continue
-        unclamped = w / price - 1.0 if price > 0 else z_cap
         z_k = min(max(unclamped, lo), hi)
         value = w * math.log1p(z_k) + cont_row[k] - price * z_k
         if value > best_value + 1e-15:
@@ -516,9 +516,9 @@ def _clear_slots(
     They are proven without locating any type's switch price:
 
     - With each type's bin fixed, computed demand is nonincreasing in price:
-      ``w/p - 1``, the clamps, the products with nonnegative shares and the
-      index-order sum all preserve order under correct rounding.  Only the
-      bin choice is not monotone.
+      ``w - p`` (of exact sign), ``(w - p)/p`` (clamped to ``lo`` if negative),
+      the clamps, the shares' products and the index-order sum all keep
+      order under correct rounding.  Only the bin choice is not monotone.
     - The rule keeps a bin within ``1e-15`` of the best computed value (plus
       the rounding of that sum).  Each computed value is within ``5 u M`` of
       the bin's exact value ``v_k(p)``, the maximum of its objective over
@@ -566,11 +566,12 @@ def _clear_slots(
         """Every bin's allocation and value (B', K, T each) at prices ``price`` (K, 1), and the
         unclamped response (K, T)."""
         positive = price > 0
-        unclamped = np.where(positive, w / np.where(positive, price, 1.0) - 1.0, z_cap)
-        # A bin's allocation is `unclamped` or one of its ends, so these are
-        # the logs the scalar rule takes.  They come from math.log1p, which
-        # np.log1p does not match in the last bit.
-        log_unclamped = np.fromiter(map(math.log1p, unclamped.ravel().tolist()), float).reshape(unclamped.shape)
+        unclamped = np.where(positive, (w - price) / np.where(positive, price, 1.0), z_cap)
+        # A bin's allocation is `unclamped` (then not negative) or one of its
+        # ends, so these are the logs the scalar rule takes.  They come from
+        # math.log1p, which np.log1p does not match in the last bit.
+        inside = np.maximum(unclamped, 0.0).ravel().tolist()
+        log_unclamped = np.fromiter(map(math.log1p, inside), float).reshape(unclamped.shape)
         z = np.empty((len(bins), *unclamped.shape))
         value = np.empty(z.shape)
         for i, (k, lo, hi, log_lo, log_hi) in enumerate(bins):

@@ -24,12 +24,26 @@ bracket.  The steps, and so prices, allocations, step counts and errors,
 are the plain bisection's bit for bit; a loose bracket only costs
 evaluations.  Per lane,
 
-    m = 16 u ((R + 2) max(C, 1) + sum_r rho_r (a_r + 2 b_r z_max) (a_r + 2 b_r) / (2 b_r)),
+    m = 16 u ((R + 2) max(C, 1) + sum_r rho_r (a_r + 2 b_r z_max)),
 
-``u = 2**-53``, with ``a_r`` as the summand where ``b_r = 0``: the relative
-rounding of the loads and of their sum over ``R`` types, and the
-cancellation in ``(sqrt(B^2 - 4 A C) - B) / (2 A)``, about
-``u (a + 2 b) / (2 b)`` of allocation, times the steepest load slope.
+``u = 2**-53``.  To first order in ``u``, barring underflow and overflow, it
+is twice the error of computed demand near ``C``:
+
+- ``c = w - p a`` carries ``u (p a + c)``, which moves the root of ``A z^2
+  + B z = c`` by at most ``u (1 + z)``, its slope in ``c`` being ``1 / (2 A
+  z + B) <= min(1 / (p a), z / c)``; the root's other roundings, none of
+  them cancelling, add ``6 u z``.
+- A load ``f = a z + b z^2`` has slope ``f' <= a + 2 b z_max`` and ``f' z
+  <= 2 f``, so with its own three roundings it carries ``u (a + 2 b z_max)
+  + 17 u f``, and weighting and summing ``R`` loads adds ``R u D``:
+  computed demand is within ``k D + e`` of exact demand ``D``, with ``k =
+  (R + 17) u`` and ``e = u sum_r rho_r (a_r + 2 b_r z_max)``.
+- If computed demand at ``low`` exceeds ``C + m``, exact demand there, and
+  so at every lower midpoint, exceeds ``(C + m - e) / (1 + k)``, and
+  computed demand at those exceeds ``C`` if ``(1 - k) m >= 2 (k C + e)``,
+  which holds as ``16 (R + 2) >= 2 (R + 17)`` for ``R >= 1``.  The high
+  end is symmetric.
+
 Safeguarded Newton steps on log demand against log price (Low and Lapsley
 1999) find the brackets (``_newton_brackets``).  Binned dynamic slots, whose
 demand jumps where a type's best bin switches, are bracketed by the same
@@ -141,54 +155,41 @@ def _responder(scenario: Scenario):
     Returns ``respond``, ``load``, ``hi`` and the tables ``(w, a, b)``.
     ``respond(p)`` maps positive prices ``p`` (K, N) to the maximizers ``z``
     (K, N, R) of ``w log(1+z) - p (a z + b z^2)`` on ``[0, z_max]``.
-    Stationarity ``w/(1+z) = p (a + 2 b z)`` is linear in ``z`` where
-    ``b = 0`` and a quadratic otherwise, solved for its positive root; a
-    type takes zero where ``w <= p a``.  ``load(z)`` is every type's load
-    ``a z + b z^2``, and ``hi`` (N,) the price ``max_r w/a`` above which no
-    type demands anything.  The type tables are laid out (N, R) with
+    Stationarity ``w/(1+z) = p (a + 2 b z)`` is ``A z^2 + B z = c`` with ``A
+    = 2 b p``, ``B = (a + 2 b) p`` and ``c = w - p a``, clamped at zero (a
+    type takes zero where ``w <= p a``); every type takes its root as ``2 c
+    / (B + sqrt(B^2 + 4 A c))``, which does not cancel as ``b -> 0`` and is
+    ``c / (p a)`` at ``b = 0``.  ``load(z)`` is every type's load ``a z + b
+    z^2``, and ``hi`` (N,) the price ``max_r w/a`` above which no type
+    demands anything.  The type tables are laid out (N, R) with
     C-contiguous rows, so demand sums over types are 1-D dots.
     """
     w = np.ascontiguousarray(scenario.type_weights().T)
     a = np.ascontiguousarray(scenario.type_linear().T)
     b = np.ascontiguousarray(scenario.type_quadratic().T)
-    linear = b == 0.0
-    all_linear, any_linear = bool(np.all(linear)), bool(np.any(linear))
-    # Linear lanes solve the quadratic too, with a coefficient that keeps its
-    # root finite; np.where then discards it.
-    b_safe = np.where(linear, 1.0, b)
-    two_b, a_2b = 2.0 * b_safe, a + 2.0 * b_safe
+    two_b, a_2b = 2.0 * b, a + 2.0 * b
     z_max = scenario.z_max
 
     def respond(p: np.ndarray) -> np.ndarray:
+        # 2 c / (B + sqrt(B^2 + 4 A c)), in place
         p = p[..., None]
-        pa = p * a
-        if all_linear:
-            z = w / pa
-            z -= 1.0
-        else:
-            # (sqrt(B^2 - 4 A C) - B) / (2 A) with A = 2 b p, B = (a + 2 b) p
-            # and C = p a - w, in place.  Where w <= p a the clamp makes the
-            # root exactly zero; elsewhere it changes nothing.
-            A = p * two_b
-            B = p * a_2b
-            C = pa - w
-            np.minimum(C, 0.0, out=C)
-            C *= 4.0 * A
-            z = B * B
-            z -= C
-            del C
-            np.sqrt(z, out=z)
-            z -= B
-            A *= 2.0
-            z /= A
-            if any_linear:
-                z = np.where(linear, w / pa - 1.0, z)
-        # Where w > p a the root is nonnegative; elsewhere it is not positive.
-        np.maximum(z, 0.0, out=z)
+        c = p * a
+        np.subtract(w, c, out=c)
+        np.maximum(c, 0.0, out=c)
+        B = p * a_2b
+        z = p * two_b
+        z *= 4.0
+        z *= c
+        z += B * B
+        np.sqrt(z, out=z)
+        z += B
+        del B
+        c *= 2.0
+        np.divide(c, z, out=z)
         return np.minimum(z, z_max, out=z)
 
     def load(z: np.ndarray) -> np.ndarray:
-        return a * z if all_linear else a * z + b * z * z
+        return a * z + b * z * z
 
     return respond, load, np.max(w / a, axis=1), (w, a, b)
 
@@ -372,7 +373,8 @@ def _newton_brackets(evaluate, x, capacity, margin, hi, settled):
     ``above`` falls short of it by ``margin``; and, if ``slope``, ``-x
     dD/dx``.  Safeguarded Newton steps on log demand against log price (Low
     and Lapsley 1999) go from the start ``x`` (one that leaves the bracket
-    halves it instead), until every lane not ``settled`` is within its
+    halves it instead; a ``settled`` lane, which clears at price zero, keeps
+    its start), until every lane not ``settled`` is within its
     margin or ``_NEWTON_STEPS`` are spent; then a probe three margins' worth
     of price to either side of the last iterate.  An end moves only to a
     price that proves it, so ``[0, hi]`` is the bracket of a lane that
@@ -388,7 +390,7 @@ def _newton_brackets(evaluate, x, capacity, margin, hi, settled):
         elastic = np.where(ok, elastic, np.inf)
         newton = x * np.exp(np.minimum(np.log(np.where(ok, below / capacity, 1.0)) * below / elastic, 40.0))
         spread = 3.0 * margin * x / elastic
-        x = np.where((newton > low) & (newton < high), newton, 0.5 * (low + high))
+        x = np.where(settled, x, np.where((newton > low) & (newton < high), newton, 0.5 * (low + high)))
         if np.all(((over <= margin) & (under >= -margin)) | settled):
             break
     for probe in (x - spread, x + spread):
@@ -411,10 +413,7 @@ def _brackets(responder, rows: np.ndarray, capacity, at_zero, z_max: float):
     respond, load, hi, (w, a, b) = responder
     mass = rows.sum(axis=1, keepdims=True)
     x = _start_price(*((rows @ t.T) / mass for t in (w, a, b)), capacity / mass)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        worst = np.where(b > 0.0, (a + 2.0 * b * z_max) * (a + 2.0 * b) / (2.0 * b), a)
-        margin = _ROUNDING * ((rows.shape[1] + 2) * np.maximum(capacity, 1.0) + rows @ worst.T)
-    del worst
+    margin = _ROUNDING * ((rows.shape[1] + 2) * np.maximum(capacity, 1.0) + rows @ (a + 2.0 * b * z_max).T)
 
     def evaluate(x: np.ndarray, slope: bool):
         z = respond(x)
@@ -445,12 +444,9 @@ def _checked_markets(scenario: Scenario, weights, capacities) -> tuple[np.ndarra
 
 def _response(w: float, a: float, b: float, p: float, z_max: float) -> float:
     """:func:`_responder`'s best response on one lane at a price ``p > 0``, in Python floats."""
-    if b == 0.0:
-        z = w / (p * a) - 1.0
-    else:
-        A, B = p * (2.0 * b), p * (a + 2.0 * b)
-        z = (math.sqrt(B * B - 4.0 * A * min(p * a - w, 0.0)) - B) / (2.0 * A)
-    return min(max(z, 0.0), z_max)
+    c = max(w - p * a, 0.0)
+    B = p * (a + 2.0 * b)
+    return min(2.0 * c / (B + math.sqrt(4.0 * (p * (2.0 * b)) * c + B * B)), z_max)
 
 
 def _bracket(respond, total, lanes, weights, capacity: float, hi: float, z_max: float) -> tuple[float, float]:
@@ -462,11 +458,8 @@ def _bracket(respond, total, lanes, weights, capacity: float, hi: float, z_max: 
     """
     mass = sum(weights)
     x = _start_price(*(sum(r * t[i] for r, t in zip(weights, lanes)) / mass for i in range(3)), capacity / mass)
-    worst = sum(
-        r * ((a + 2.0 * b * z_max) * (a + 2.0 * b) / (2.0 * b) if b > 0.0 else a)
-        for r, (_, a, b) in zip(weights, lanes)
-    )
-    margin = _ROUNDING * ((len(lanes) + 2) * max(capacity, 1.0) + worst)
+    steepest = sum(r * (a + 2.0 * b * z_max) for r, (_, a, b) in zip(weights, lanes))
+    margin = _ROUNDING * ((len(lanes) + 2) * max(capacity, 1.0) + steepest)
     low, high, spread = 0.0, hi, 0.0
     for _ in range(_NEWTON_STEPS):
         z = respond(x)

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from lsvcg.generate import (
     scale_capacity,
 )
 from lsvcg.mechanisms import large_scale_vcg, outcome_cell_rows
-from lsvcg.model import Population, Profile, load_scenario, save_scenario
+from lsvcg.model import Population, Profile, UtilityParams, load_scenario, save_scenario
 from lsvcg.solver import price_sensitivity, solve_weighted
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -27,8 +28,6 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 @pytest.fixture
 def scenario_file(tmp_path):
-    from dataclasses import replace
-
     scenario = replace(
         scale_capacity(payment_gap_benchmark(), 8),
         population=Population(shares=[0.5, 0.5], num_agents=8),
@@ -247,8 +246,6 @@ def test_degenerate_sensitivity_exits_3(tmp_path, capsys):
 def test_head_count_document_loads_and_runs(tmp_path, capsys):
     # capacities are totals over 1000 agents; the z_max headroom check reads
     # them per capita
-    from dataclasses import replace
-
     scenario = scale_capacity(random_scenario(rng_for(1), num_agents=1000), 1000)
     path = tmp_path / "head_count.json"
     path.write_bytes(save_scenario(scenario))
@@ -399,6 +396,18 @@ def test_dynamic_allocation_kernel(tmp_path):
     assert _run("dynamic", "--scenario", str(path), "--out", str(out)) == 0
     rows = [l for l in (out / "slots.csv").read_text().strip().splitlines() if not l.startswith("#")][1:]
     assert len(rows) == dyn.horizon
+
+
+@pytest.mark.parametrize("mode", ["myopic", "fixed-point"])
+def test_dynamic_runs_with_a_type_too_weak_to_buy_anything(mode, tmp_path):
+    # at the prices the binned gap tries, the weak type's unclamped response
+    # rounds to exactly -1, where math.log1p raises; no bin allocates that
+    dyn = dynamic_benchmark(kernel="allocation", discount=0.5)
+    static = replace(dyn.static, utility=UtilityParams([[1.0], [1e-17]]))
+    dyn = DynamicScenario(static=static, kernel=dyn.kernel, discount=0.5, horizon=dyn.horizon, rho0=dyn.rho0)
+    path = tmp_path / "dyn.json"
+    path.write_bytes(save_dynamic_scenario(dyn))
+    assert _run("dynamic", "--scenario", str(path), "--out", str(tmp_path / "run"), "--mode", mode) == 0
 
 
 def test_dynamic_identity_kernel_constant_shares(tmp_path):
