@@ -38,7 +38,7 @@ from .model import (
     scenario_to_dict,
     utility_value,
 )
-from .solver import SolverError, _clear_market, _clear_price, _clear_prices, _newton_brackets, clear_markets
+from .solver import SolverError, _clear_market, _clear_prices, _newton_brackets, clear_markets
 
 __all__ = [
     "TransitionKernel",
@@ -359,13 +359,13 @@ def plan_policy(dyn: DynamicScenario, mode: Literal["myopic", "fixed-point"] = "
     (:func:`~lsvcg.solver._clear_market`).  With an allocation-dependent
     kernel the slot mechanism, which prices each type's continuation, need
     not allocate what the myopic plan did.  ``fixed-point`` starts from the
-    myopic plan and re-plans with the slot mechanism priced against the
-    previous plan's continuation (policy iteration), until the allocations
-    repeat bit for bit; every slot of the returned plan is then what the
-    mechanism allocates.  It raises :class:`SolverError` if the allocations
-    still move after ``MAX_PLAN_ITERATIONS`` mechanism rollouts.  A rollout
-    whose clearing does not depend on the slot clears each distinct market
-    once.
+    myopic plan and re-plans with the slot mechanism (:func:`_clear_slots`,
+    one market per call) priced against the previous plan's continuation
+    (policy iteration), until the allocations repeat bit for bit; every slot
+    of the returned plan is then what the mechanism allocates.  It raises
+    :class:`SolverError` if the allocations still move after
+    ``MAX_PLAN_ITERATIONS`` mechanism rollouts.  A rollout whose clearing
+    does not depend on the slot clears each distinct market once.
     """
     if mode not in ("myopic", "fixed-point"):
         raise ValidationError(f"unknown planning mode {mode!r}")
@@ -381,7 +381,8 @@ def plan_policy(dyn: DynamicScenario, mode: Literal["myopic", "fixed-point"] = "
         previous = policy
 
         def mechanism_slot(t, rho):
-            return _clear_slot(rho, dyn, previous, t)
+            z, p, _ = _clear_slots(rho[None], np.array([t]), dyn, previous)
+            return z[0], p[0]
 
         allocate = _cleared_once(mechanism_slot) if dyn.kernel.allocation_independent else mechanism_slot
         policy = _policy(dyn, mode, allocate)
@@ -421,30 +422,6 @@ BINNED_PRICE_TOLERANCE = 1e-6
 _TIE_ROUNDING = 64 * 2.0**-53
 
 
-def _binned_best_response(dyn, cont_row, w: float, price: float) -> float:
-    """Maximize ``w log(1 + z) + cont_row[bin(z)] - price*z`` over z in the bin range.
-
-    ``cont_row[k]`` is the discounted continuation value of landing in bin
-    ``k``.  Within one bin the continuation is constant, so the maximizer is
-    the static log-utility response clamped to the bin; the best bin wins.
-    The map is nonincreasing in price (higher prices never favor larger bins).
-    """
-    edges = dyn.kernel.bin_edges
-    z_cap = min(dyn.static.z_max, float(edges[-1]))
-    best_value, best_z = -math.inf, 0.0
-    unclamped = (w - price) / price if price > 0 else z_cap
-    for k in range(dyn.kernel.num_bins):
-        lo = max(0.0, float(edges[k]))
-        hi = min(z_cap, float(edges[k + 1]))
-        if lo > hi:
-            continue
-        z_k = min(max(unclamped, lo), hi)
-        value = w * math.log1p(z_k) + cont_row[k] - price * z_k
-        if value > best_value + 1e-15:
-            best_value, best_z = value, z_k
-    return best_z
-
-
 def _price_ceiling(dyn: DynamicScenario, policy: Policy, t):
     """Top of the price bracket of slot ``t`` (an int or an array of slots) on a binned kernel.
 
@@ -462,53 +439,29 @@ def _check_single_resource(dyn: DynamicScenario) -> None:
         raise ValidationError("allocation-dependent kernels are supported for a single resource only")
 
 
-def _clear_slot(reports: np.ndarray, dyn: DynamicScenario, policy: Policy, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Clear slot ``t``'s market for the reported shares: ``(z (T, N), p (N,))``.
-
-    Each type's objective is its instantaneous utility plus the frozen policy
-    continuation; with an allocation-independent kernel this reduces exactly
-    to the static program, and ``policy`` is not read.  This is the scalar
-    clearing of one market, for rollouts; :func:`_clear_slots` clears many
-    markets at once, bit for bit the same.
-    """
-    caps = dyn.static.capacities
-    if dyn.kernel.allocation_independent:
-        p, z, _ = _clear_market(dyn.static, reports, caps)
-        return z, p
-    _check_single_resource(dyn)
-    num_types = dyn.num_types
-    cap = float(caps[0])
-    w = [float(x) for x in dyn.static.utility.weights[:, 0]]
-    cont_rows = policy.continuation[t]
-
-    def responses(price: float) -> list[float]:
-        return [_binned_best_response(dyn, cont_rows[theta], w[theta], price) for theta in range(num_types)]
-
-    def demand(price: float) -> float:
-        return float(sum(reports[theta] * z for theta, z in enumerate(responses(price))))
-
-    try:
-        price, _ = _clear_price(demand, cap, float(_price_ceiling(dyn, policy, t)), BINNED_PRICE_TOLERANCE)
-    except SolverError as exc:
-        raise SolverError(f"slot {t} market {exc}") from None
-    return np.array([[z_theta] for z_theta in responses(price)]), np.array([price])
-
-
 def _clear_slots(
     shares: np.ndarray, slots: np.ndarray, dyn: DynamicScenario, policy: Policy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clear the market of slot ``slots[k]`` at reported ``shares[k]``, for every ``k`` at once.
 
-    Returns ``(z (K, T, N), p (K, N), steps (K,))``: each market bit for bit
-    what :func:`_clear_slot` gives, and the bisection steps it takes.  An
-    allocation-independent kernel goes to :func:`~lsvcg.solver.clear_markets`.
-    A binned market runs :func:`_binned_best_response`'s rule on array lanes
-    (bins in index order, the same ``1e-15`` margin, ``z_cap`` at price
-    zero, ``math.log1p``), sums its demand type by type in index order as
-    the scalar ``sum`` does, and keeps its own slot's price ceiling; one
-    array bisection (:func:`~lsvcg.solver._clear_prices`) clears them all,
-    evaluating demand only inside each lane's bracket.  A failure names the
-    market's slot and shares.
+    Returns ``(z (K, T, N), p (K, N), steps (K,))``: every slot's prices and
+    allocations, and the bisection steps each market takes.  It is the one
+    slot clearing: the incentive gap clears its markets in one call, a
+    ``fixed-point`` rollout and :func:`dynamic_mechanism_step` one market
+    per call.  Each type's objective is its instantaneous utility plus the
+    frozen policy continuation; an allocation-independent kernel reduces
+    that exactly to the static program and goes to
+    :func:`~lsvcg.solver.clear_markets`.  On a binned kernel each type
+    maximizes ``w log(1 + z) + cont[bin(z)] - p z`` over the bin range:
+    within a bin the continuation is constant, so the maximizer is the
+    static log-utility response clamped to the bin, and bins are taken in
+    index order, a later one winning only by more than ``1e-15`` (``z_cap``
+    at price zero, logs by ``math.log1p``).  Demand sums type by type in
+    index order, under the market's own slot's price ceiling; one array
+    bisection (:func:`~lsvcg.solver._clear_prices`) clears every market,
+    each bit for bit the scalar bisection of its demand, evaluating demand
+    only inside each lane's bracket.  A failure names the market's slot and
+    shares.
 
     The brackets come from :func:`~lsvcg.solver._newton_brackets`.  They
     start at ``sum s w / (sum s + C)``, the root when every type is interior
@@ -661,15 +614,17 @@ def dynamic_mechanism_step(reports: np.ndarray, dyn: DynamicScenario, policy: Po
     ``reports`` is the reported type distribution for the slot.  Each type's
     objective is its instantaneous utility plus the frozen policy
     continuation; with an allocation-independent kernel this reduces exactly
-    to the static program.
+    to the static program.  The slot is one market of :func:`_clear_slots`,
+    whose error names its slot and shares if it fails to clear.
     """
     reports = np.asarray(reports, dtype=float)
     if reports.shape != (dyn.num_types,) or np.any(reports < -1e-12) or abs(float(reports.sum()) - 1.0) > 1e-9:
         raise ValidationError("reports must be a distribution over the utility types")
     _check_slot(policy, t)
-    z, p = _clear_slot(np.maximum(reports, 0.0), dyn, policy, t)
-    payments, payoffs = _charge(dyn, policy, np.array([t]), z[None], p[None])
-    return SlotOutcome(t=t, z=z, p=p, payments=payments[0], payoffs=payoffs[0])
+    slots = np.array([t])
+    z, p, _ = _clear_slots(np.maximum(reports, 0.0)[None], slots, dyn, policy)
+    payments, payoffs = _charge(dyn, policy, slots, z, p)
+    return SlotOutcome(t=t, z=z[0], p=p[0], payments=payments[0], payoffs=payoffs[0])
 
 
 def dynamic_incentive_gap(

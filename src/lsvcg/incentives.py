@@ -38,10 +38,8 @@ __all__ = [
     "incentive_gap",
     "gain_within_bound",
     "misreport_gain_bound",
-    "sweep_from_reports",
     "verify_incentive_bound",
     "loglog_slope",
-    "decays_quadratically",
 ]
 
 
@@ -218,35 +216,6 @@ def loglog_slope(x, y) -> float:
     return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
 
 
-def decays_quadratically(sizes, gaps, rtol: float = 1e-6) -> bool:
-    """Whether gains meet the quadratic-decay claim read as an upper bound.
-
-    Along increasing ``sizes``, ``I^2 * gap`` may never exceed its value at the
-    first size by more than ``rtol`` relative, and where two or more gains are
-    positive their fitted log-log slope must be -1.5 or steeper.  Gains that
-    are exactly zero meet the claim; a first-order decay fails both checks.
-    """
-    sizes = np.asarray(sizes, dtype=float)
-    gaps = np.asarray(gaps, dtype=float)
-    scaled = sizes**2 * gaps
-    if np.any(scaled > scaled[0] * (1.0 + rtol)):
-        return False
-    return bool(np.count_nonzero(gaps > 0) < 2 or loglog_slope(sizes, gaps) <= -1.5)
-
-
-def sweep_from_reports(reports: list[IncentiveReport]) -> IncentiveSweep:
-    """Sweep rows and the fitted slope from finite-population reports, one per head count."""
-    rows = [
-        (r.num_agents, r.max_gap, r.epsilon_bound, gain_within_bound(r.max_gap, r.epsilon_bound))
-        for r in reports
-    ]
-    return IncentiveSweep(
-        rows=rows,
-        reports=list(reports),
-        slope=loglog_slope([row[0] for row in rows], [row[1] for row in rows]),
-    )
-
-
 def verify_incentive_bound(scenario: Scenario, rho: Population, i_list) -> IncentiveSweep:
     """Measure per-head gaps across a replication sweep and compare with the ceiling.
 
@@ -254,4 +223,13 @@ def verify_incentive_bound(scenario: Scenario, rho: Population, i_list) -> Incen
     that head count, from one shared kernel that clears the markets of
     several head counts in each :func:`~lsvcg.solver.clear_markets` call.
     """
-    return sweep_from_reports(_incentive_reports(scenario, rho, list(i_list)))
+    reports = _incentive_reports(scenario, rho, list(i_list))
+    rows = [
+        (r.num_agents, r.max_gap, r.epsilon_bound, gain_within_bound(r.max_gap, r.epsilon_bound))
+        for r in reports
+    ]
+    return IncentiveSweep(
+        rows=rows,
+        reports=reports,
+        slope=loglog_slope([row[0] for row in rows], [row[1] for row in rows]),
+    )

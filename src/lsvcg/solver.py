@@ -47,9 +47,10 @@ is twice the error of computed demand near ``C``:
 Safeguarded Newton steps on log demand against log price (Low and Lapsley
 1999) find the brackets (``_newton_brackets``).  Binned dynamic slots, whose
 demand jumps where a type's best bin switches, are bracketed by the same
-steps and replay the same bisection; their brackets are proven by resolving
-every near-tie between bins to the side that weakens the bracket
-(``dynamic._clear_slots``), with no switch price located.
+steps and replay the same bisection in their one clearing
+(``dynamic._clear_slots``); their brackets are proven by resolving every
+near-tie between bins to the side that weakens the bracket, with no switch
+price located.
 
 Also provides the exact KKT residual, the implicit-function-theorem
 sensitivity of shadow prices to population shares, and the closed-form norm
@@ -244,12 +245,12 @@ def _demand(weights: np.ndarray, loads: np.ndarray) -> np.ndarray:
 def _clear_price(demand, capacity, hi: float, tolerance: float, bracket=None) -> tuple[float, int]:
     """Clearing price of a nonincreasing ``demand`` curve, and the bisection steps taken.
 
-    The scalar twin of :func:`_clear_prices`, for markets cleared one at a
-    time (a rollout, where each slot's market depends on the last): static
-    ones in :func:`_clear_market`, binned slots in ``dynamic._clear_slot``.
-    On one market it runs four to six times faster than the array
-    bisection, whose per-step overhead pays off only across many lanes.  It
-    is also the reference the batched clearings are tested against.  Zero
+    The scalar twin of :func:`_clear_prices`, for static markets cleared
+    one at a time in :func:`_clear_market` (a myopic rollout, where each
+    slot's market depends on the last).  On one market it runs four to six
+    times faster than the array bisection, whose per-step overhead pays off
+    only across many lanes.  It is also the reference the batched
+    clearings, static and binned, are tested against.  Zero
     if ``demand(0)`` fits ``capacity``; otherwise the feasible end of
     ``[0, hi]`` halved to machine precision or ``MAX_BISECTION_STEPS``.
     Raises ``SolverError`` if demand there misses by more than

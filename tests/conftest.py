@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from lsvcg.generate import incentive_benchmark, payment_gap_benchmark, rng_for
+from lsvcg.incentives import loglog_slope
 from lsvcg.model import InfluenceParams, Population, Scenario, TypeSpace, UtilityParams
 
 
@@ -15,6 +17,22 @@ def single_type_benchmark() -> Scenario:
         beta=1.0,
         z_max=50.0,
     )
+
+
+def decays_quadratically(sizes, gaps, rtol: float = 1e-6) -> bool:
+    """Whether gains meet the quadratic-decay claim read as an upper bound.
+
+    Along increasing ``sizes``, ``I^2 * gap`` may never exceed its value at the
+    first size by more than ``rtol`` relative, and where two or more gains are
+    positive their fitted log-log slope must be -1.5 or steeper.  Gains that
+    are exactly zero meet the claim; a first-order decay fails both checks.
+    """
+    sizes = np.asarray(sizes, dtype=float)
+    gaps = np.asarray(gaps, dtype=float)
+    scaled = sizes**2 * gaps
+    if np.any(scaled > scaled[0] * (1.0 + rtol)):
+        return False
+    return bool(np.count_nonzero(gaps > 0) < 2 or loglog_slope(sizes, gaps) <= -1.5)
 
 
 @pytest.fixture

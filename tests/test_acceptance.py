@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import lsvcg
+from conftest import decays_quadratically
 from lsvcg.generate import (
     dynamic_benchmark,
     incentive_benchmark,
@@ -28,7 +29,7 @@ from lsvcg.generate import (
     scale_capacity,
 )
 from lsvcg.dynamic import dynamic_incentive_gap, mean_field_step, mean_field_step_monte_carlo, plan_policy
-from lsvcg.incentives import decays_quadratically, loglog_slope, verify_incentive_bound
+from lsvcg.incentives import loglog_slope, verify_incentive_bound
 from lsvcg.mechanisms import budget_audit, ir_audit, large_scale_vcg, shadow_payment_gap
 from lsvcg.model import Population, Profile, empirical_population, utility_value
 from lsvcg.solver import sensitivity_norm_bound_check, solve_weighted, price_sensitivity

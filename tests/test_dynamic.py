@@ -254,6 +254,58 @@ def test_allocation_dependent_slot_clears_and_charges():
     assert all(row.holds for row in dynamic_incentive_gap(dyn, policy, 10))
 
 
+# -- the scalar binned rule, the oracle of the slot clearing ----------------------
+
+
+def _binned_best_response(dyn, cont_row, w: float, price: float) -> float:
+    """Maximize ``w log(1 + z) + cont_row[bin(z)] - price*z`` over z in the bin range.
+
+    ``cont_row[k]`` is the discounted continuation value of landing in bin
+    ``k``.  Within one bin the continuation is constant, so the maximizer is
+    the static log-utility response clamped to the bin; the best bin wins.
+    The map is nonincreasing in price (higher prices never favor larger bins).
+    """
+    edges = dyn.kernel.bin_edges
+    z_cap = min(dyn.static.z_max, float(edges[-1]))
+    best_value, best_z = -math.inf, 0.0
+    unclamped = (w - price) / price if price > 0 else z_cap
+    for k in range(dyn.kernel.num_bins):
+        lo = max(0.0, float(edges[k]))
+        hi = min(z_cap, float(edges[k + 1]))
+        if lo > hi:
+            continue
+        z_k = min(max(unclamped, lo), hi)
+        value = w * math.log1p(z_k) + cont_row[k] - price * z_k
+        if value > best_value + 1e-15:
+            best_value, best_z = value, z_k
+    return best_z
+
+
+def _scalar_responses(dyn: DynamicScenario, policy: Policy, t: int, price: float) -> list[float]:
+    """Every type's best allocation at slot ``t`` and ``price`` under the scalar rule."""
+    w = dyn.static.utility.weights[:, 0].tolist()
+    cont = policy.continuation[t]
+    return [_binned_best_response(dyn, cont[theta], w[theta], price) for theta in range(len(w))]
+
+
+def _scalar_demand(dyn: DynamicScenario, policy: Policy, t: int, shares: np.ndarray, price: float) -> float:
+    """Slot ``t``'s demand at ``shares`` and ``price`` under the scalar rule, summed type by type in index order."""
+    return float(sum(shares[theta] * z for theta, z in enumerate(_scalar_responses(dyn, policy, t, price))))
+
+
+def _scalar_slot(shares: np.ndarray, dyn: DynamicScenario, policy: Policy, t: int):
+    """Slot ``t``'s binned market at ``shares`` cleared in Python floats by the scalar bisection
+    (:func:`~lsvcg.solver._clear_price`): ``(z (T, 1), p (1,), steps)``, or the bisection's error."""
+
+    def demand(price: float) -> float:
+        return _scalar_demand(dyn, policy, t, shares, price)
+
+    ceiling = float(lsvcg.dynamic._price_ceiling(dyn, policy, t))
+    cap = float(dyn.static.capacities[0])
+    price, steps = lsvcg.solver._clear_price(demand, cap, ceiling, lsvcg.dynamic.BINNED_PRICE_TOLERANCE)
+    return np.array([[z] for z in _scalar_responses(dyn, policy, t, price)]), np.array([price]), steps
+
+
 def test_binned_slot_failure_reports_its_bracket(monkeypatch):
     dyn = dynamic_benchmark(kernel="allocation", discount=0.5, num_bins=4)
     policy = plan_policy(dyn, "myopic")
@@ -261,6 +313,7 @@ def test_binned_slot_failure_reports_its_bracket(monkeypatch):
     with pytest.raises(SolverError, match="demand - capacity") as exc:
         dynamic_mechanism_step(dyn.rho0, dyn, policy, 0)
     assert "bracket" in str(exc.value) and "3 bisection steps" in str(exc.value)
+    assert str(exc.value).startswith(f"slot 0 market {dyn.rho0.tolist()}, resource 0 failed to clear: ")
 
 
 def test_a_failing_batch_market_names_its_slot(monkeypatch):
@@ -276,9 +329,13 @@ def test_a_failing_batch_market_names_its_slot(monkeypatch):
         dynamic_incentive_gap(dyn, policy, 10)
     failing = [s for s in _misreported_shares(policy.rho_path[1], 10) if f"market {s.tolist()}," in str(batch.value)]
     assert len(failing) == 1
-    with pytest.raises(SolverError, match="^slot 1 market failed to clear") as scalar:
+    # one market fails as it does in the batch
+    with pytest.raises(SolverError) as single:
         dynamic_mechanism_step(failing[0], dyn, policy, 1)
+    assert str(single.value) == str(batch.value)
     # the lane's residual, bracket and step count are the scalar bisection's
+    with pytest.raises(SolverError, match="^failed to clear") as scalar:
+        _scalar_slot(failing[0], dyn, policy, 1)
     tail = str(scalar.value).split("failed to clear")[1]
     assert str(batch.value).endswith(tail) and "after 23 bisection steps" in tail
 
@@ -313,7 +370,7 @@ def test_clear_slots_keeps_the_scalar_rule_at_near_ties():
     # bit of a log1p that np.log1p and math.log1p disagree on (slot 1, where
     # such a disagreement is found).  The bin taken there is the allocation.
     shares = np.array([0.0, 1.0])
-    price = float(lsvcg.dynamic._clear_slot(shares, *_two_bin_slots(1.45, []), 0)[1][0])
+    price = float(_scalar_slot(shares, *_two_bin_slots(1.45, []), 0)[1][0])
 
     def second_bin_wins(w0, cont, log1p, margin):
         unclamped = w0 / price - 1.0
@@ -343,7 +400,7 @@ def test_clear_slots_keeps_the_scalar_rule_at_near_ties():
     slots = np.arange(len(conts))
     z, p, _ = lsvcg.dynamic._clear_slots(np.tile(shares, (len(conts), 1)), slots, dyn, policy)
     for t in slots:
-        z_scalar, p_scalar = lsvcg.dynamic._clear_slot(shares, dyn, policy, int(t))
+        z_scalar, p_scalar, _ = _scalar_slot(shares, dyn, policy, int(t))
         assert p[t].tobytes() == p_scalar.tobytes() == np.array([price]).tobytes()
         assert z[t].tobytes() == z_scalar.tobytes()
 
@@ -373,20 +430,12 @@ def test_clear_slots_matches_the_scalar_slot_bit_for_bit(binned_policies, preset
     dyn, policy = binned_policies[preset]
     slots = np.array([t % dyn.horizon for t, _ in markets])
     shares = np.array([[share, 1.0 - share] for _, share in markets])
-    scalar_steps = []
-
-    def recorded(demand, capacity, hi, tolerance):
-        price, steps = lsvcg.solver._clear_price(demand, capacity, hi, tolerance)
-        scalar_steps.append(steps)
-        return price, steps
-
     cleared, failed = [], []
-    with mock.patch.object(lsvcg.dynamic, "_clear_price", recorded):
-        for k, t in enumerate(slots):
-            try:
-                cleared.append((k, *lsvcg.dynamic._clear_slot(shares[k], dyn, policy, int(t)), scalar_steps[-1]))
-            except SolverError as exc:
-                failed.append((k, str(exc)))
+    for k, t in enumerate(slots):
+        try:
+            cleared.append((k, *_scalar_slot(shares[k], dyn, policy, int(t))))
+        except SolverError as exc:
+            failed.append((k, str(exc)))
     event("a market fails to clear" if failed else "every market clears")
     if cleared:
         keep = [k for k, *_ in cleared]
@@ -435,14 +484,6 @@ def test_binned_gap_evaluates_demand_mostly_inside_its_brackets(binned_policies)
         evaluations, gaps = _gap_evaluations(dyn, policy)
         plain, plain_gaps = _gap_evaluations(dyn, policy, bracketed=False)
         assert evaluations <= plain and gaps == plain_gaps
-
-
-def _scalar_demand(dyn: DynamicScenario, policy: Policy, t: int, shares: np.ndarray, price: float) -> float:
-    """Slot ``t``'s demand at ``shares`` and ``price`` under the scalar rule, summed as ``_clear_slot`` sums it."""
-    w = dyn.static.utility.weights[:, 0].tolist()
-    cont = policy.continuation[t]
-    responses = [lsvcg.dynamic._binned_best_response(dyn, cont[theta], w[theta], price) for theta in range(len(w))]
-    return float(sum(shares[theta] * z for theta, z in enumerate(responses)))
 
 
 def _assert_brackets_are_sound(shares: np.ndarray, slots: np.ndarray, dyn: DynamicScenario, policy: Policy):
@@ -502,7 +543,7 @@ def test_binned_brackets_hold_the_scalar_crossing_at_near_ties():
     # type 0 leaves its second bin, and demand jumps, at the clearing price.
     shares, w0 = np.array([0.5, 0.5]), 1.4
     dyn, policy = _two_bin_slots(w0, [-1.0])
-    price = float(lsvcg.dynamic._clear_slot(shares, dyn, policy, 0)[1][0])
+    price = float(_scalar_slot(shares, dyn, policy, 0)[1][0])
     unclamped = w0 / price - 1.0
     assert unclamped > 0.8
     tie = w0 * math.log1p(0.8) - price * 0.8 - (w0 * math.log1p(unclamped) - price * unclamped)
@@ -510,8 +551,8 @@ def test_binned_brackets_hold_the_scalar_crossing_at_near_ties():
     slots = np.arange(dyn.horizon)
     jumps = 0
     for t in slots.tolist():
-        p = float(lsvcg.dynamic._clear_slot(shares, dyn, policy, t)[1][0])
-        jumps += lsvcg.dynamic._binned_best_response(dyn, policy.continuation[t, 0], w0, math.nextafter(p, 0.0)) > 0.8
+        p = float(_scalar_slot(shares, dyn, policy, t)[1][0])
+        jumps += _binned_best_response(dyn, policy.continuation[t, 0], w0, math.nextafter(p, 0.0)) > 0.8
     assert jumps > 0
     _assert_brackets_are_sound(np.tile(shares, (dyn.horizon, 1)), slots, dyn, policy)
 
@@ -604,6 +645,16 @@ def test_each_distinct_mixing_market_is_solved_once(num_agents, monkeypatch):
     assert sorted(inputs) == sorted(expected)
 
 
+def _reference_slot(shares: np.ndarray, dyn: DynamicScenario, policy: Policy, t: int):
+    """Slot ``t``'s market at ``shares`` cleared one market at a time, apart from ``_clear_slots``:
+    a static one by the scalar static clearing, a binned one by the scalar oracle."""
+    if dyn.kernel.allocation_independent:
+        p, z, _ = lsvcg.solver._clear_market(dyn.static, shares, dyn.static.capacities)
+        return z, p
+    z, p, _ = _scalar_slot(shares, dyn, policy, t)
+    return z, p
+
+
 def _reference_plan(dyn: DynamicScenario, mode: str) -> Policy:
     """``plan_policy`` without the memo: every slot of every rollout is cleared afresh."""
 
@@ -616,8 +667,7 @@ def _reference_plan(dyn: DynamicScenario, mode: str) -> Policy:
         previous = policy
 
         def mechanism_slot(t, rho):
-            slot = dynamic_mechanism_step(rho, dyn, previous, t)
-            return slot.z, slot.p
+            return _reference_slot(rho, dyn, previous, t)
 
         policy = lsvcg.dynamic._policy(dyn, mode, mechanism_slot)
         if np.array_equal(policy.allocations, previous.allocations):
@@ -632,7 +682,7 @@ def _reference_gap(dyn: DynamicScenario, policy: Policy, num_agents: int | None)
     rows = []
     for t in range(dyn.horizon):
         rho_t = policy.rho_path[t]
-        z, p = lsvcg.dynamic._clear_slot(rho_t, dyn, policy, t)
+        z, p = _reference_slot(rho_t, dyn, policy, t)
         payments = z @ p
         payoffs = np.array(
             [value_u_sigma(dyn, policy, theta, z[theta], t) - payments[theta] for theta in range(dyn.num_types)]
@@ -647,7 +697,7 @@ def _reference_gap(dyn: DynamicScenario, policy: Policy, num_agents: int | None)
                 shares[report] += 1.0 / num_agents
                 if shares[theta] < -1e-12:
                     return -np.inf
-                z, p = lsvcg.dynamic._clear_slot(np.maximum(shares, 0.0), dyn, policy, t)
+                z, p = _reference_slot(np.maximum(shares, 0.0), dyn, policy, t)
                 payments = z @ p
             return value_u_sigma(dyn, policy, theta, z[report], t) - float(payments[report])
 

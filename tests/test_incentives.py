@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import decays_quadratically
 from lsvcg.generate import incentive_benchmark, random_scenario, rng_for
 from lsvcg.incentives import (
-    decays_quadratically,
     incentive_gap,
     loglog_slope,
     misreport_gain_bound,
