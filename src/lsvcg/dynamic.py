@@ -334,10 +334,10 @@ def _policy(dyn: DynamicScenario, mode: str, allocate) -> Policy:
 def _cleared_once(clear):
     """Wrap ``clear(t, shares) -> (z, p)`` so that it clears each distinct market once.
 
-    For slot-free clearings only (a static solve, or an allocation-independent
-    kernel): a market is its reported shares.  A binned clearing reads the
-    policy at ``t``, and a rollout visits each ``t`` once, so it has nothing
-    to share.  The memo lives as long as the wrapper, one rollout.
+    For slot-free clearings only (the static solve of the myopic rollout): a
+    market is its reported shares.  A binned clearing reads the policy at
+    ``t``, and a rollout visits each ``t`` once, so it has nothing to share.
+    The memo lives as long as the wrapper, one rollout.
     """
     memo: dict = {}
 
@@ -364,8 +364,9 @@ def plan_policy(dyn: DynamicScenario, mode: Literal["myopic", "fixed-point"] = "
     (policy iteration), until the allocations repeat bit for bit; every slot
     of the returned plan is then what the mechanism allocates.  It raises
     :class:`SolverError` if the allocations still move after
-    ``MAX_PLAN_ITERATIONS`` mechanism rollouts.  A rollout whose clearing
-    does not depend on the slot clears each distinct market once.
+    ``MAX_PLAN_ITERATIONS`` mechanism rollouts.  On an allocation-independent
+    kernel the slot mechanism allocates what the myopic plan does, so
+    ``fixed-point`` returns the myopic rollout without a mechanism rollout.
     """
     if mode not in ("myopic", "fixed-point"):
         raise ValidationError(f"unknown planning mode {mode!r}")
@@ -375,7 +376,7 @@ def plan_policy(dyn: DynamicScenario, mode: Literal["myopic", "fixed-point"] = "
         return z, p
 
     policy = _policy(dyn, mode, _cleared_once(myopic_slot))
-    if mode == "myopic":
+    if mode == "myopic" or dyn.kernel.allocation_independent:
         return policy
     for _ in range(MAX_PLAN_ITERATIONS):
         previous = policy
@@ -384,8 +385,7 @@ def plan_policy(dyn: DynamicScenario, mode: Literal["myopic", "fixed-point"] = "
             z, p, _ = _clear_slots(rho[None], np.array([t]), dyn, previous)
             return z[0], p[0]
 
-        allocate = _cleared_once(mechanism_slot) if dyn.kernel.allocation_independent else mechanism_slot
-        policy = _policy(dyn, mode, allocate)
+        policy = _policy(dyn, mode, mechanism_slot)
         if np.array_equal(policy.allocations, previous.allocations):
             return policy
     changed = int(np.count_nonzero(np.any(policy.allocations != previous.allocations, axis=(1, 2))))

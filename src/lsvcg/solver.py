@@ -147,7 +147,8 @@ def best_response(theta: int, zeta: int, p, scenario: Scenario) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
         raise ValidationError("prices must be nonnegative")
-    return _response_matrix(scenario, p)[scenario.type_space.flat_index(theta, zeta)]
+    z = _allocations(_responder(scenario)[0], p[None], scenario.z_max)
+    return z[0, :, scenario.type_space.flat_index(theta, zeta)]
 
 
 def _responder(scenario: Scenario):
@@ -220,12 +221,6 @@ def _allocations(respond, p: np.ndarray, z_max: float) -> np.ndarray:
     if not free.any():
         return respond(p)
     return np.where(free[..., None], z_max, respond(np.where(free, 1.0, p)))
-
-
-def _response_matrix(scenario: Scenario, p: np.ndarray) -> np.ndarray:
-    """Best responses of every flattened type at prices ``p`` ((R, N) array)."""
-    respond = _responder(scenario)[0]
-    return _allocations(respond, np.asarray(p, dtype=float)[None, :], scenario.z_max)[0].T.copy()
 
 
 def _influence_matrix(scenario: Scenario, z: np.ndarray) -> np.ndarray:

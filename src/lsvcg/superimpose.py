@@ -15,6 +15,9 @@ type-impersonation: a deviating agent replies with some other type's demand
 in every round.  A :class:`~lsvcg.model.Profile` counts the agents of each
 true type that impersonate each type (their report), and agents sharing both
 behave identically, so the loop and the overlay work per group and per cell.
+The loop runs several profiles in lockstep, one responder call per round for
+all of them, and each profile stops at its own round; the obedience check
+runs all its candidate reports this way.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .mechanisms import Outcome, shadow_price_outcome
 from .model import InfluenceParams, Population, Profile, Scenario, ValidationError, _frozen_array
-from .solver import _response_matrix  # shared closed-form best responses
+from .solver import _allocations, _responder  # shared closed-form best responses
 
 __all__ = [
     "AlgorithmConfig",
@@ -107,59 +110,83 @@ def run_algorithm(
     (influence is monitored even when the reply impersonates another type)
     and moves each price by ``gamma_k * (aggregate load - capacity) / I``,
     projected at zero.  Stops when the per-capita excess is within tolerance
-    on every resource, or at the round cap with ``converged=False``.
+    on every resource, or at the round cap with ``converged=False``.  This is
+    :func:`_run_lanes` on one profile.
     """
-    scenario.check_profile(profile)
-    num_agents = profile.num_agents
-    if num_agents == 0:
-        raise ValidationError("at least one agent is required")
-    ts = scenario.type_space
+    return _run_lanes([profile], scenario, config)[0]
 
-    # Group agents by (true zeta, impersonated type): identical behavior.
-    cells = profile.cells
-    group_key = (cells.true_idx % ts.num_zeta) * ts.num_types + cells.report_idx
-    group_counts = np.bincount(group_key, weights=cells.counts, minlength=ts.num_zeta * ts.num_types)
-    keys = np.flatnonzero(group_counts)
-    counts = group_counts[keys]
-    zeta_rows, imp_rows = np.divmod(keys, ts.num_types)
-    # Each group's influence rows, gathered once rather than every round.
+
+def _run_lanes(profiles: list[Profile], scenario: Scenario, config: AlgorithmConfig) -> list[AlgorithmTrace]:
+    """Run the loop of :func:`run_algorithm` on several profiles in lockstep.
+
+    Every profile is a lane with its own prices, head count and groups; each
+    round answers all lanes' broadcasts with one call of the responder, built
+    once.  A lane that converges stops: its prices, history and final menu
+    are frozen at that round, so each trace equals the profile's solo run
+    bit for bit.  This is the one price-update loop of the package.
+    """
+    ts = scenario.type_space
+    keys, reductions = [], []  # per lane: its groups, and their head counts and rows in the flat index
+    for profile in profiles:
+        scenario.check_profile(profile)
+        if profile.num_agents == 0:
+            raise ValidationError("at least one agent is required")
+        # Group agents by (true zeta, impersonated type): identical behavior.
+        cells = profile.cells
+        group_key = (cells.true_idx % ts.num_zeta) * ts.num_types + cells.report_idx
+        group_counts = np.bincount(group_key, weights=cells.counts, minlength=ts.num_zeta * ts.num_types)
+        start = sum(lane_keys.size for lane_keys in keys)
+        keys.append(np.flatnonzero(group_counts))
+        reductions.append((group_counts[keys[-1]], slice(start, start + keys[-1].size)))
+    # One flat index of (lane, impersonated type, true zeta) over every lane's groups.
+    lane_rows = np.repeat(np.arange(len(profiles)), [lane_keys.size for lane_keys in keys])
+    zeta_rows, imp_rows = np.divmod(np.concatenate(keys), ts.num_types)
     influence = scenario.influence
     group_influence = InfluenceParams(influence.linear[zeta_rows], influence.quadratic[zeta_rows])
-
+    num_agents = np.array([[profile.num_agents] for profile in profiles], dtype=float)
     caps_per_capita = scenario.capacities / num_agents
     gamma0 = _default_gamma0(scenario) if config.gamma0 is None else config.gamma0
+    respond = _responder(scenario)[0]
 
-    def per_capita_demand(menu: np.ndarray) -> np.ndarray:
-        return (counts @ group_influence.load(..., menu[imp_rows])) / num_agents
+    def replies(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every lane's menu (L, N, R) at prices ``p`` (L, N), and its per-capita load."""
+        menus = _allocations(respond, p, scenario.z_max)
+        loads = group_influence.load(..., menus[lane_rows, :, imp_rows])
+        # each lane reduces over its own groups alone: a padded stacked matmul may round differently
+        return menus, np.array([counts @ loads[rows] for counts, rows in reductions]) / num_agents
 
-    p = np.zeros(ts.num_resources)
+    p = np.zeros((len(profiles), ts.num_resources))
+    live = np.ones(len(profiles), dtype=bool)  # a lane leaves only by converging
+    rounds_used = np.zeros(len(profiles), dtype=int)
     prices_hist = []
     demand_hist = []
-    converged = False
-    rounds_used = 0
     for k in range(1, config.max_rounds + 1):
-        menu = _response_matrix(scenario, p)
-        demand = per_capita_demand(menu)
+        demand = replies(p)[1]
         prices_hist.append(p.copy())
         demand_hist.append(demand)
-        rounds_used = k
+        rounds_used[live] = k
         excess = demand - caps_per_capita
-        if float(np.max(np.abs(np.where(p > 0, excess, np.maximum(excess, 0.0))))) <= config.tolerance:
-            converged = True
+        within = np.max(np.abs(np.where(p > 0, excess, np.maximum(excess, 0.0))), axis=1) <= config.tolerance
+        live &= ~within
+        if not live.any():
             break
-        p = np.maximum(0.0, p + (gamma0 / math.sqrt(k)) * excess)
+        p[live] = np.maximum(0.0, p[live] + (gamma0 / math.sqrt(k)) * excess[live])
 
-    menu = _response_matrix(scenario, p)
-    return AlgorithmTrace(
-        round_prices=np.array(prices_hist),
-        round_demand=np.array(demand_hist),
-        final_prices=p,
-        final_menu=menu,
-        final_excess=per_capita_demand(menu) - caps_per_capita,
-        converged=converged,
-        rounds_used=rounds_used,
-        profile=profile,
-    )
+    menus, demand = replies(p)
+    prices_hist, demand_hist = np.array(prices_hist), np.array(demand_hist)
+    return [
+        AlgorithmTrace(
+            round_prices=prices_hist[:rounds, lane],
+            round_demand=demand_hist[:rounds, lane],
+            final_prices=p[lane],
+            final_menu=menus[lane].T.copy(),
+            final_excess=demand[lane] - caps_per_capita[lane],
+            converged=not live[lane],
+            rounds_used=int(rounds),
+            profile=profile,
+        )
+        for lane, (profile, rounds) in enumerate(zip(profiles, rounds_used))
+    ]
 
 
 def superimposed_outcome(trace: AlgorithmTrace, scenario: Scenario) -> Outcome:
@@ -185,9 +212,12 @@ def obedience_check(
     """Payoff of obeying versus the best impersonation, all others obedient.
 
     Replicates the scenario population to ``num_agents`` agents, runs the
-    algorithm once per candidate action of a single ``deviator_type`` agent,
-    and returns ``(obedient_payoff, best_deviation_payoff, margin)`` with
-    ``margin = obedient - best deviation``.
+    algorithm on every candidate action of a single ``deviator_type`` agent
+    in lockstep (:func:`_run_lanes`; each run stops on its own, as it would
+    alone), and returns ``(obedient_payoff, best_deviation_payoff, margin)``
+    with ``margin = obedient - best deviation``.  Raises
+    :class:`~lsvcg.model.ValidationError` if any candidate's run does not
+    converge.
     """
     ts = scenario.type_space
     shares = scenario.population.shares
@@ -196,18 +226,14 @@ def obedience_check(
         raise ValidationError("num_agents times every population share must be integral")
     profile = obedient_actions(Profile.truthful(Population(shares=shares, num_agents=num_agents), ts))
     own = ts.flat_index(*deviator_type)
-
-    def deviator_payoff(impersonated: int) -> float:
-        report = ts.unflatten(impersonated)
-        deviation = profile.with_report(deviator_type, report)
-        outcome = superimposed_outcome(run_algorithm(deviation, scenario, config), scenario)
-        return float(outcome.cell_payoffs[deviation.cell_index(deviator_type, report)])
-
-    obedient = deviator_payoff(own)
-    best_dev = -math.inf
-    for r in range(ts.num_types):
-        if r != own:
-            best_dev = max(best_dev, deviator_payoff(r))
-    if best_dev == -math.inf:  # no alternative action exists
+    reports = [ts.unflatten(r) for r in (own, *(r for r in range(ts.num_types) if r != own))]
+    deviations = [profile.with_report(deviator_type, report) for report in reports]
+    payoffs = [
+        float(superimposed_outcome(trace, scenario).cell_payoffs[deviation.cell_index(deviator_type, report)])
+        for report, deviation, trace in zip(reports, deviations, _run_lanes(deviations, scenario, config))
+    ]
+    obedient, *others = payoffs
+    if not others:  # no alternative action exists
         return obedient, obedient, 0.0
+    best_dev = max(others)
     return obedient, best_dev, obedient - best_dev

@@ -9,6 +9,7 @@ from lsvcg.mechanisms import large_scale_vcg
 from lsvcg.model import Population, Profile, ValidationError
 from lsvcg.superimpose import (
     AlgorithmConfig,
+    _run_lanes,
     obedience_check,
     obedient_actions,
     run_algorithm,
@@ -129,14 +130,68 @@ def test_strong_budget_balance_on_obedient_trace():
 
 def test_algorithm_has_no_payment_code():
     # superimposability is structural: the loop never touches payments
-    source = inspect.getsource(run_algorithm)
-    assert "payment" not in source and "payoff" not in source
+    for loop in (run_algorithm, _run_lanes):
+        source = inspect.getsource(loop)
+        assert "payment" not in source and "payoff" not in source
+
+
+def test_lanes_equal_solo_runs_bit_for_bit():
+    # lanes of different head counts stop at different rounds: one agent alone
+    # has capacity to spare and stops in round 1, 500 and 1000 agents converge
+    # in a few dozen rounds, a deviation at 2000 in about 120, and 4000 agents
+    # hit the round cap unconverged
+    scenario = scale_capacity(obedience_scenario(rng_for(17, 0), num_agents=1000), 1000)
+    ts = scenario.type_space
+
+    def crowd(num_agents):
+        return Profile.truthful(Population(shares=scenario.population.shares, num_agents=num_agents), ts)
+
+    profiles = [
+        crowd(1000),
+        Profile.from_agents([(1, 0)], ts),
+        crowd(4000),
+        crowd(2000).with_report((0, 0), (1, 0)),
+        crowd(500),
+    ]
+    config = AlgorithmConfig(max_rounds=200)
+    solo = [run_algorithm(profile, scenario, config) for profile in profiles]
+    assert solo[1].rounds_used == 1 and solo[1].converged
+    assert solo[2].rounds_used == 200 and not solo[2].converged
+    assert len({trace.rounds_used for trace in solo}) == len(solo)
+    for lane, alone in zip(_run_lanes(profiles, scenario, config), solo):
+        for name in ("round_prices", "round_demand", "final_prices", "final_menu", "final_excess"):
+            assert getattr(lane, name).tobytes() == getattr(alone, name).tobytes(), name
+            assert getattr(lane, name).shape == getattr(alone, name).shape, name
+        assert (lane.converged, lane.rounds_used) == (alone.converged, alone.rounds_used)
+        assert lane.profile is alone.profile
 
 
 def test_obedience_margin_single_type_is_zero():
     scenario, _ = _replicated_single_type(10)
     obedient, best_dev, margin = obedience_check(scenario, 10, (0, 0))
     assert margin == 0.0 and obedient == best_dev
+
+
+def test_obedience_check_refuses_any_unconverged_candidate():
+    # the obedient run takes 63 rounds, type a impersonating b 61, b impersonating a 64
+    scenario = scale_capacity(obedience_scenario(rng_for(17, 1), num_agents=10), 10)
+    ts = scenario.type_space
+    a, b = ts.unflatten(0), ts.unflatten(1)
+    profile = Profile.truthful(scenario.population, ts)
+    obeyed, a_as_b, b_as_a = (
+        run_algorithm(p, scenario).rounds_used for p in (profile, profile.with_report(a, b), profile.with_report(b, a))
+    )
+    assert a_as_b < obeyed < b_as_a
+    # the own report does not converge, the other does
+    with pytest.raises(ValidationError, match="unconverged"):
+        obedience_check(scenario, 10, a, AlgorithmConfig(max_rounds=a_as_b))
+    # the own report converges, the other does not
+    with pytest.raises(ValidationError, match="unconverged"):
+        obedience_check(scenario, 10, b, AlgorithmConfig(max_rounds=obeyed))
+    obedience_check(scenario, 10, b, AlgorithmConfig(max_rounds=b_as_a))
+    single, _ = _replicated_single_type(10)
+    with pytest.raises(ValidationError, match="unconverged"):
+        obedience_check(single, 10, (0, 0), AlgorithmConfig(gamma0=0.0, max_rounds=5))
 
 
 def test_obedience_margin_two_type():
